@@ -24,7 +24,7 @@ mod serve;
 mod spans;
 
 use inputs::{derive_seed, Inputs};
-use serve::{nanos, run_clients, ClientTally};
+use serve::{nanos, send_batch, ClientTally};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -37,12 +37,10 @@ use vida_core::{
 };
 use vida_workload::{generate, generate_append_replay, generate_scan_heavy, WorkloadConfig};
 
-/// Set-ups per `--trace 0` run: one per timed segment, and more (up to
-/// `MAX_SETUPS`) while they have taken less than `SETUP_SECONDS` in all;
-/// `setup_s` is their median.
+/// Set-ups per `--trace 0` run: one per timed segment, and more until
+/// they have taken `SETUP_SECONDS` in all; `setup_s` is their median.
 const SEGMENTS: u32 = 3;
-const MAX_SETUPS: usize = 15;
-const SETUP_SECONDS: f64 = 2.0;
+const SETUP_SECONDS: f64 = 6.0;
 /// Latency samples a timed phase collects at least, so that ten lie above
 /// the 90th percentile.
 const MIN_SAMPLES: usize = 100;
@@ -54,7 +52,6 @@ enum Kind {
     WarmHbp,
     RawScan,
     AppendReplay,
-    ServeShort,
 }
 
 /// One workload: input size, cache budget, and query batch shape.
@@ -67,12 +64,11 @@ struct Workload {
     budget: usize,
     /// Run the batch once during set-up, so the timed phase starts warm.
     warm_up: bool,
-    /// Queries taken per query shape (text with its constants removed);
-    /// fixing the shares keeps the mix the same from seed to seed.
+    /// Queries taken per query shape (text with its constants removed).
     per_shape: usize,
 }
 
-const WORKLOADS: [Workload; 4] = [
+const WORKLOADS: [Workload; 3] = [
     Workload {
         kind: Kind::WarmHbp,
         name: "warm-hbp",
@@ -96,14 +92,6 @@ const WORKLOADS: [Workload; 4] = [
         budget: 64 << 20,
         warm_up: true,
         per_shape: 4,
-    },
-    Workload {
-        kind: Kind::ServeShort,
-        name: "serve-short",
-        rows: 500,
-        budget: 64 << 20,
-        warm_up: false,
-        per_shape: 16,
     },
 ];
 
@@ -179,10 +167,11 @@ type Fallible<T> = Result<T, Box<dyn std::error::Error>>;
 ///
 /// Per query shape (the text without its constants), the batch takes
 /// the queries at `per_shape` evenly spaced ranks of the shape's
-/// constants, drops repeated texts (a shape without constants is one
-/// query), and interleaves the shapes in a fixed order. Each seed then
-/// draws the same shares of shapes, the same spread of selectivities and
-/// result sizes, and the same cache access pattern, only with other
+/// constants, and interleaves the shapes in a fixed order. A shape
+/// without constants is one text, repeated `per_shape` times. The
+/// generators draw their shapes with equal weights, so the batch keeps
+/// their shares; each seed draws the same spread of selectivities and
+/// result sizes and the same cache access pattern, only with other
 /// constants, so a run's cost does not hinge on a few unlucky draws.
 fn batch(w: &Workload, seed: u64) -> Vec<String> {
     let config = WorkloadConfig {
@@ -193,7 +182,7 @@ fn batch(w: &Workload, seed: u64) -> Vec<String> {
         hot_keys: (w.rows / 10) as i64,
     };
     let pool = match w.kind {
-        Kind::WarmHbp | Kind::ServeShort => generate(&config),
+        Kind::WarmHbp => generate(&config),
         Kind::RawScan => generate_scan_heavy(&config),
         Kind::AppendReplay => generate_append_replay(&config),
     };
@@ -211,21 +200,18 @@ fn batch(w: &Workload, seed: u64) -> Vec<String> {
         shapes.entry(shape).or_default().push((constants, &q.text));
     }
     let mut batch: Vec<String> = pool[..lead].iter().map(|q| q.text.clone()).collect();
+    let k = w.per_shape;
     let picks: Vec<Vec<&str>> = shapes
         .into_values()
         .map(|mut members| {
             members.sort();
-            let k = w.per_shape.min(members.len());
-            let mut picked: Vec<&str> = (0..k)
+            (0..k)
                 .map(|i| members[(2 * i + 1) * members.len() / (2 * k)].1)
-                .filter(|text| !batch.iter().any(|b| b == text))
-                .collect();
-            picked.dedup();
-            picked
+                .collect()
         })
         .collect();
-    for i in 0..w.per_shape {
-        batch.extend(picks.iter().filter_map(|p| p.get(i)).map(|t| t.to_string()));
+    for i in 0..k {
+        batch.extend(picks.iter().map(|p| p[i].to_string()));
     }
     batch
 }
@@ -238,10 +224,13 @@ fn nproc() -> usize {
 struct Stack {
     engine: Arc<Engine>,
     cache: Arc<CacheManager>,
-    server: Option<QueryServer>,
     open: Duration,
+    /// Warm-up queries run, and those that returned an error.
+    warm_up_attempted: u64,
+    warm_up_failed: u64,
 }
 
+/// Open the inputs, build the engine, and run the warm-up pass.
 fn set_up(w: &Workload, inputs: &Inputs, batch: &[String]) -> Fallible<Stack> {
     let (catalog, open) = inputs.open_catalog()?;
     let cache = Arc::new(CacheManager::new(w.budget));
@@ -254,26 +243,22 @@ fn set_up(w: &Workload, inputs: &Inputs, batch: &[String]) -> Fallible<Stack> {
             ..JitOptions::default()
         },
     ));
-    let server = (w.kind == Kind::ServeShort).then(|| {
-        QueryServer::start(
-            Arc::clone(&engine),
-            ServerConfig {
-                executors: nproc(),
-                ..ServerConfig::default()
-            },
-        )
-    });
+    let mut warm_up_failed = 0;
     if w.warm_up {
         let mut session = engine.session();
         for text in batch {
-            run_query(&mut session, text)?;
+            if let Err(e) = run_query(&mut session, text) {
+                eprintln!("perfbench: warm-up query failed ({e}): {text}");
+                warm_up_failed += 1;
+            }
         }
     }
     Ok(Stack {
         engine,
         cache,
-        server,
         open,
+        warm_up_attempted: if w.warm_up { batch.len() as u64 } else { 0 },
+        warm_up_failed,
     })
 }
 
@@ -372,12 +357,7 @@ impl Seen {
     /// number of mismatches and empties the record.
     fn check(&mut self, engine: &Engine) -> u64 {
         let answers: Vec<(String, Value)> = self.results.drain().collect();
-        oracle::check(
-            &answers,
-            engine.catalog().as_ref(),
-            nproc(),
-            oracle::matches,
-        )
+        oracle::check(&answers, engine.catalog().as_ref(), nproc())
     }
 }
 
@@ -429,7 +409,9 @@ const FIXED_SUM: &str = "for { p <- Patients } yield sum p.age";
 const FIXED_COUNT: &str = "for { g <- Genetics } yield count g";
 
 /// Closed loop on one session for `budget` of engine time (and at least
-/// `min_samples` queries). On `append-replay` each pass over the batch is
+/// `min_samples` queries). A failed query adds no engine time, so the loop
+/// also ends once as many queries have failed as the batch holds. On
+/// `append-replay` each pass over the batch is
 /// one round, preceded by an append of 1% of the rows to every input (not
 /// timed). The returned `seen` holds the answers to check against the
 /// reference: on `append-replay`, those of the last round, and each
@@ -450,7 +432,10 @@ fn engine_phase(
     let counters0 = Counters::read(&stack.cache);
     let epoch = Instant::now();
     let budget_ns = nanos(budget);
-    while p.busy_ns < budget_ns || p.latency_ns.len() < min_samples {
+    let more = |p: &Phase| {
+        (p.busy_ns < budget_ns || p.latency_ns.len() < min_samples) && p.failed < batch.len() as u64
+    };
+    while more(&p) {
         if append {
             inputs.append(w.rows / 100)?;
             p.seen = Seen::default();
@@ -458,7 +443,7 @@ fn engine_phase(
         let (mut tail, mut partials) = (0, 0);
         let (pass_start, mut pass_queries, mut complete) = (p.busy_ns, 0u32, true);
         for text in batch {
-            if !append && p.busy_ns >= budget_ns && p.latency_ns.len() >= min_samples {
+            if !append && !more(&p) {
                 complete = false;
                 break;
             }
@@ -518,117 +503,42 @@ fn engine_phase(
     Ok(p)
 }
 
-/// The service side of a phase through `QueryServer`.
-struct Served {
-    clients: ClientTally,
-    wall: Duration,
-    server: ServerStats,
-    exec: ExecStats,
-    counters: Counters,
-}
-
-impl Served {
-    fn qps(&self) -> f64 {
-        self.clients.completed as f64 / self.wall.as_secs_f64()
-    }
-}
-
-/// Closed-loop clients on the service for `budget` (a zero budget sends
-/// the batch once), and at least `min_samples` queries.
-fn serve_phase(
-    stack: &Stack,
-    server: &QueryServer,
-    batch: &[String],
-    clients: usize,
-    budget: Duration,
-    min_samples: usize,
-) -> Served {
-    let (exec0, server0) = (stack.engine.stats(), server.stats());
-    let counters0 = Counters::read(&stack.cache);
-    let t0 = Instant::now();
-    let mut tally = run_clients(server, batch, clients, budget);
-    while tally.latency_ns.len() < min_samples {
-        let more = run_clients(server, batch, clients, Duration::from_millis(100));
-        tally.completed += more.completed;
-        tally.failed += more.failed;
-        tally.latency_ns.extend(more.latency_ns);
-        tally.first_byte_ns += more.first_byte_ns;
-        tally.stream_ns += more.stream_ns;
-    }
-    let wall = t0.elapsed();
+/// One pass over the batch through a `QueryServer` on the workload's
+/// engine, from one client, and the server's counters after it.
+fn serve_pass(stack: &Stack, batch: &[String]) -> (ClientTally, ServerStats) {
+    let server = QueryServer::start(
+        Arc::clone(&stack.engine),
+        ServerConfig {
+            executors: nproc(),
+            ..ServerConfig::default()
+        },
+    );
+    let tally = send_batch(&server, batch);
     server.drain();
-    let s = server.stats();
-    let exec = exec_delta(&stack.engine.stats(), &exec0);
-    let counters = Counters::read(&stack.cache).since(&counters0);
-    Served {
-        clients: tally,
-        wall,
-        server: ServerStats {
-            rejected: s.rejected - server0.rejected,
-            ..s
-        },
-        exec,
-        counters,
-    }
+    let stats = server.stats();
+    server.shutdown();
+    (tally, stats)
 }
 
-/// Counter difference of two accumulated `ExecStats`.
-fn exec_delta(now: &ExecStats, before: &ExecStats) -> ExecStats {
-    ExecStats {
-        codegen: now.codegen - before.codegen,
-        execution: now.execution - before.execution,
-        kernels_compiled: now.kernels_compiled - before.kernels_compiled,
-        tuples_scanned: now.tuples_scanned - before.tuples_scanned,
-        fallback_tuples: now.fallback_tuples - before.fallback_tuples,
-        cached_columns: now.cached_columns - before.cached_columns,
-        raw_columns: now.raw_columns - before.raw_columns,
-        queries: now.queries - before.queries,
-        queries_served_from_cache: now.queries_served_from_cache - before.queries_served_from_cache,
-        morsels: now.morsels - before.morsels,
-        whole_query_fallbacks: now.whole_query_fallbacks - before.whole_query_fallbacks,
-        joins_reordered: now.joins_reordered - before.joins_reordered,
-        estimated_rows: now.estimated_rows - before.estimated_rows,
-        estimated_rows_actual: now.estimated_rows_actual - before.estimated_rows_actual,
-        tail_rows_scanned: now.tail_rows_scanned - before.tail_rows_scanned,
-        partials_reused: now.partials_reused - before.partials_reused,
-        ..ExecStats::default()
-    }
-}
-
-/// Compare the first response to each batch query with the reference,
-/// row by row (float rows within 1e-9 relative, bag rows in any order).
-fn check_responses(
-    engine: &Engine,
-    batch: &[String],
-    first_rows: &HashMap<usize, Vec<Vec<u8>>>,
-) -> u64 {
-    let answers: Vec<(String, &Vec<Vec<u8>>)> = first_rows
+/// Whether the decoded rows of a response are `want`: bag rows in any
+/// order, float rows within 1e-9 relative.
+fn rows_match(rows: &[Vec<u8>], want: &Value) -> bool {
+    let mut want: Vec<String> = output::to_values(want)
         .iter()
-        .map(|(&i, rows)| (batch[i].clone(), rows))
+        .map(|v| v.to_string())
         .collect();
-    oracle::check(
-        &answers,
-        engine.catalog().as_ref(),
-        nproc(),
-        |rows, want| {
-            let mut want: Vec<String> = output::to_values(want)
-                .iter()
-                .map(|v| v.to_string())
-                .collect();
-            let mut got: Vec<String> = rows
-                .iter()
-                .map(|r| String::from_utf8_lossy(r).into_owned())
-                .collect();
-            want.sort();
-            got.sort();
-            want.len() == got.len()
-                && want.iter().zip(&got).all(|(w, g)| {
-                    w == g
-                        || matches!((w.parse::<f64>(), g.parse::<f64>()),
-                                (Ok(a), Ok(b)) if oracle::close(a, b))
-                })
-        },
-    )
+    let mut got: Vec<String> = rows
+        .iter()
+        .map(|r| String::from_utf8_lossy(r).into_owned())
+        .collect();
+    want.sort();
+    got.sort();
+    want.len() == got.len()
+        && want.iter().zip(&got).all(|(w, g)| {
+            w == g
+                || matches!((w.parse::<f64>(), g.parse::<f64>()),
+                        (Ok(a), Ok(b)) if oracle::close(a, b))
+        })
 }
 
 /// Quantile `q` of `sorted` latencies (ns), in ms, by the Harrell–Davis
@@ -636,7 +546,11 @@ fn check_responses(
 /// batch gives every query the same number of samples, so a single order
 /// statistic at `q` often falls on the edge between two queries' clusters
 /// and jumps between them from run to run; this estimate moves smoothly.
+/// NaN (reported as 0) when there are no samples.
 fn percentile_ms(sorted: &[u64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return f64::NAN;
+    }
     let n = sorted.len() as f64;
     let (a, b) = (q * (n + 1.0), (1.0 - q) * (n + 1.0));
     // The weights vanish beyond 12 standard deviations of the Beta.
@@ -721,7 +635,9 @@ fn ln_gamma(x: f64) -> f64 {
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
     let n = xs.len();
-    if n % 2 == 1 {
+    if n == 0 {
+        f64::NAN
+    } else if n % 2 == 1 {
         xs[n / 2]
     } else {
         (xs[n / 2 - 1] + xs[n / 2]) / 2.0
@@ -818,7 +734,6 @@ fn end_to_end(
     let (mut attempted, mut failed) = (0, 0);
     // Answers from every segment, for the repeat check across engines.
     let mut seen = Seen::default();
-    let mut first_rows = HashMap::new();
     let mut stack = None;
     let mut rss = 0.0;
     let ticks0 = cpu_ticks();
@@ -830,47 +745,30 @@ fn end_to_end(
         let t0 = Instant::now();
         let s = stack.insert(set_up(w, inputs, batch)?);
         setup_s.push(t0.elapsed().as_secs_f64());
+        attempted += s.warm_up_attempted;
+        failed += s.warm_up_failed;
         let min_samples = if i + 1 == SEGMENTS {
             MIN_SAMPLES.saturating_sub(latency_ns.len())
         } else {
             0
         };
-        match &s.server {
-            Some(server) => {
-                let served = serve_phase(s, server, batch, nproc(), segment, min_samples);
-                qps.push(served.qps());
-                let c = served.clients;
-                attempted += c.completed + c.failed;
-                failed += c.failed;
-                latency_ns.extend(c.latency_ns);
-                for (i, rows) in c.first_rows {
-                    if first_rows.get(&i).is_some_and(|seen| *seen != rows) {
-                        eprintln!("perfbench: answer changed between engines: {}", batch[i]);
-                        failed += 1;
-                    }
-                    first_rows.entry(i).or_insert(rows);
-                }
-            }
-            None => {
-                let p = engine_phase(w, s, inputs, batch, segment, false, min_samples)?;
-                let passes: Vec<String> = p.pass_qps.iter().map(|q| format!("{q:.2}")).collect();
-                eprintln!("perfbench: queries/s per pass {}", passes.join(" "));
-                qps.extend(p.pass_qps.iter().copied());
-                attempted += p.latency_ns.len() as u64 + p.failed;
-                failed += p.failed;
-                latency_ns.extend(p.latency_ns);
-                // On append-replay only the last segment's last round is
-                // still on disk to check; earlier rounds are covered by the
-                // fixed folds' exact check.
-                if w.kind == Kind::AppendReplay {
-                    seen = p.seen;
-                } else {
-                    for (text, value) in p.seen.results {
-                        if !seen.record(&text, value) {
-                            eprintln!("perfbench: answer changed between engines: {text}");
-                            failed += 1;
-                        }
-                    }
+        let p = engine_phase(w, s, inputs, batch, segment, false, min_samples)?;
+        let passes: Vec<String> = p.pass_qps.iter().map(|q| format!("{q:.2}")).collect();
+        eprintln!("perfbench: queries/s per pass {}", passes.join(" "));
+        qps.extend(p.pass_qps.iter().copied());
+        attempted += p.latency_ns.len() as u64 + p.failed;
+        failed += p.failed;
+        latency_ns.extend(p.latency_ns);
+        // On append-replay only the last segment's last round is still on
+        // disk to check; earlier rounds are covered by the fixed folds'
+        // exact check.
+        if w.kind == Kind::AppendReplay {
+            seen = p.seen;
+        } else {
+            for (text, value) in p.seen.results {
+                if !seen.record(&text, value) {
+                    eprintln!("perfbench: answer changed between engines: {text}");
+                    failed += 1;
                 }
             }
         }
@@ -881,19 +779,18 @@ fn end_to_end(
         }
     }
     let stack = stack.expect("SEGMENTS > 0");
-    failed += match stack.server {
-        Some(_) => check_responses(&stack.engine, batch, &first_rows),
-        None => seen.check(&stack.engine),
-    };
+    failed += seen.check(&stack.engine);
     drop(stack);
     // More set-ups while they are cheap, for a steadier median.
-    while setup_s.len() < MAX_SETUPS && setup_s.iter().sum::<f64>() < SETUP_SECONDS {
+    while setup_s.iter().sum::<f64>() < SETUP_SECONDS {
         if w.kind == Kind::AppendReplay {
             inputs.reset()?;
         }
         let t0 = Instant::now();
-        drop(set_up(w, inputs, batch)?);
+        let s = set_up(w, inputs, batch)?;
         setup_s.push(t0.elapsed().as_secs_f64());
+        attempted += s.warm_up_attempted;
+        failed += s.warm_up_failed;
     }
     latency_ns.sort_unstable();
     let deciles: Vec<String> = (1..10)
@@ -902,11 +799,13 @@ fn end_to_end(
     let ticks = cpu_ticks();
     let steal = (ticks.0 - ticks0.0) as f64 / (ticks.1 - ticks0.1).max(1) as f64;
     eprintln!(
-        "perfbench: {} seed {}: {} batch queries, set-up {setup_s:.3?} s, {} latency samples, \
-         deciles (ms) {}, host steal {:.1}%",
+        "perfbench: {} seed {}: {} batch queries, {} set-ups (median {:.4} s), \
+         {} latency samples, deciles (ms) {}, host steal {:.1}%",
         w.name,
         args.seed,
         batch.len(),
+        setup_s.len(),
+        median(setup_s.clone()),
         latency_ns.len(),
         deciles.join(" "),
         steal * 100.0
@@ -931,85 +830,48 @@ fn per_layer(
 ) -> Fallible<(u64, u64)> {
     let w = args.workload;
     let half = Duration::from_secs_f64(args.seconds / 2.0);
-    let mut attempted = 0;
-    let mut failed = 0;
+    let mut attempted = stack.warm_up_attempted;
+    let mut failed = stack.warm_up_failed;
 
-    // Untraced counters: engine workloads from their own session loop,
-    // serve-short from the service; both through the same fields.
-    let (exec, counters, untraced_qps, parse_us, lower_us, served);
-    let mut rounds = (0, 0);
-    let mut mean_latency_s = 0.0;
-    match &stack.server {
-        Some(server) => {
-            let s = serve_phase(stack, server, batch, nproc(), half, 0);
-            failed +=
-                s.clients.failed + check_responses(&stack.engine, batch, &s.clients.first_rows);
-            attempted += s.clients.completed + s.clients.failed;
-            // The service parses internally; time the front end on the
-            // batch texts separately.
-            let (mut pn, mut ln) = (0u64, 0u64);
-            for text in batch {
-                let t0 = Instant::now();
-                let expr = parse(text)?;
-                let t1 = Instant::now();
-                std::hint::black_box(rewrite(&lower(&expr)?));
-                pn += nanos(t1 - t0);
-                ln += nanos(t1.elapsed());
-            }
-            parse_us = pn as f64 / batch.len() as f64 / 1e3;
-            lower_us = ln as f64 / batch.len() as f64 / 1e3;
-            exec = s.exec.clone();
-            counters = s.counters;
-            // Overhead for serve-short compares two session runs.
-            let quarter = half / 2;
-            let mut p = engine_phase(w, stack, inputs, batch, quarter, false, 0)?;
-            failed += p.failed + p.seen.check(&stack.engine);
-            attempted += p.latency_ns.len() as u64 + p.failed;
-            untraced_qps = p.qps();
-            served = s;
-        }
-        None => {
-            let mut p = engine_phase(w, stack, inputs, batch, half, false, 0)?;
-            failed += p.failed + p.seen.check(&stack.engine);
-            attempted += p.latency_ns.len() as u64 + p.failed;
-            parse_us = p.parse_ns as f64 / p.queries() / 1e3;
-            lower_us = p.lower_ns as f64 / p.queries() / 1e3;
-            exec = p.exec.clone();
-            counters = p.counters;
-            untraced_qps = p.qps();
-            rounds = (p.rounds, p.incremental_rounds);
-            mean_latency_s = p.busy_ns as f64 / 1e9 / p.queries();
-            // The service layer on this workload's results: one client,
-            // one pass over the batch.
-            let server = QueryServer::start(
-                Arc::clone(&stack.engine),
-                ServerConfig {
-                    executors: nproc(),
-                    ..ServerConfig::default()
-                },
-            );
-            served = serve_phase(stack, &server, batch, 1, Duration::ZERO, 0);
-            failed += served.clients.failed;
-            attempted += served.clients.completed + served.clients.failed;
-            server.shutdown();
+    // Untraced: the workload's session loop for the layer counters, then
+    // one pass through the service, checked against the loop's answers
+    // (so the loop runs the whole batch at least once).
+    let mut p = engine_phase(w, stack, inputs, batch, half, false, batch.len())?;
+    attempted += p.latency_ns.len() as u64 + p.failed;
+    failed += p.failed;
+    let (served, server) = serve_pass(stack, batch);
+    attempted += served.latency_ns.len() as u64 + served.failed;
+    failed += served.failed;
+    for (i, rows) in &served.rows {
+        let text = &batch[*i];
+        if !p
+            .seen
+            .results
+            .get(text)
+            .is_some_and(|v| rows_match(rows, v))
+        {
+            eprintln!("perfbench: served answer differs from the session's: {text}");
+            failed += 1;
         }
     }
+    failed += p.seen.check(&stack.engine);
+    let exec = &p.exec;
+    let counters = p.counters;
     let raw_bytes = inputs.raw_bytes();
 
-    let traced_budget = if stack.server.is_some() {
-        half / 2
-    } else {
-        half
-    };
-    let mut t = engine_phase(w, stack, inputs, batch, traced_budget, true, 0)?;
+    let mut t = engine_phase(w, stack, inputs, batch, half, true, 0)?;
     failed += t.failed + t.seen.check(&stack.engine);
     attempted += t.latency_ns.len() as u64 + t.failed;
     write_chrome_trace(w.name, args.seed, &t.traces);
 
     let q = f64::from(exec.queries.max(1));
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    r.put("lang.parse_us", parse_us, "us");
-    r.put("algebra.lower_us", lower_us, "us");
+    r.put("lang.parse_us", p.parse_ns as f64 / p.queries() / 1e3, "us");
+    r.put(
+        "algebra.lower_us",
+        p.lower_ns as f64 / p.queries() / 1e3,
+        "us",
+    );
     r.put("exec.build_ms", ms(exec.codegen) / q, "ms");
     r.put("exec.drive_ms", ms(exec.execution) / q, "ms");
     r.put(
@@ -1103,24 +965,20 @@ fn per_layer(
         counters.multiplexed_claims as f64,
         "count",
     );
-    let n = served.clients.latency_ns.len().max(1) as f64;
+    let n = served.latency_ns.len().max(1) as f64;
     r.put(
         "server.first_byte_us",
-        served.clients.first_byte_ns as f64 / n / 1e3,
+        served.first_byte_ns as f64 / n / 1e3,
         "us",
     );
-    r.put(
-        "server.stream_us",
-        served.clients.stream_ns as f64 / n / 1e3,
-        "us",
-    );
-    r.put("server.rejected", served.server.rejected as f64, "count");
+    r.put("server.stream_us", served.stream_ns as f64 / n / 1e3, "us");
+    r.put("server.rejected", server.rejected as f64, "count");
     r.put(
         "server.peak_in_flight",
-        served.server.peak_in_flight as f64,
+        server.peak_in_flight as f64,
         "count",
     );
-    report_property(w, &exec, &cache, rounds, mean_latency_s, &served);
+    report_property(w, &p, &cache);
     let tq = t.queries();
     for stage in spans::STAGES {
         let ns = t.self_ns.get(stage).copied().unwrap_or(0);
@@ -1135,25 +993,20 @@ fn per_layer(
         t.unattributed_ns as f64 / tq / 1e6,
         "ms",
     );
-    r.put("trace.overhead", untraced_qps / t.qps(), "ratio");
+    r.put("trace.overhead", p.qps() / t.qps(), "ratio");
     Ok((attempted, failed))
 }
 
 /// Print whether the run kept the property its workload exists for
 /// (stderr only: the property is a claim about the workload's sizing, not
 /// about the program's outputs).
-fn report_property(
-    w: &Workload,
-    exec: &ExecStats,
-    cache: &CacheStats,
-    (rounds, incremental_rounds): (u64, u64),
-    mean_latency_s: f64,
-    served: &Served,
-) {
+fn report_property(w: &Workload, p: &Phase, cache: &CacheStats) {
+    let exec = &p.exec;
     let q = f64::from(exec.queries.max(1));
     let served_share = f64::from(exec.queries_served_from_cache) / q;
     let (held, what) = match w.kind {
         Kind::WarmHbp => {
+            let mean_latency_s = p.busy_ns as f64 / 1e9 / p.queries();
             let exec_share = (exec.codegen + exec.execution).as_secs_f64() / q / mean_latency_s;
             (
                 served_share >= 0.9 && exec_share > 0.5,
@@ -1171,29 +1024,12 @@ fn report_property(
             ),
         ),
         Kind::AppendReplay => (
-            rounds > 0 && incremental_rounds == rounds,
+            p.rounds > 0 && p.incremental_rounds == p.rounds,
             format!(
-                "{incremental_rounds} of {rounds} rounds scanned tail rows and resumed partials"
+                "{} of {} rounds scanned tail rows and resumed partials",
+                p.incremental_rounds, p.rounds
             ),
         ),
-        Kind::ServeShort => {
-            // Front end + build + service time = first byte + stream - drive.
-            let c = &served.clients;
-            let n = c.latency_ns.len().max(1) as f64;
-            let fixed_ms = (c.first_byte_ns + c.stream_ns) as f64 / n / 1e6
-                - exec.execution.as_secs_f64() * 1e3 / q;
-            let mut lat = c.latency_ns.clone();
-            lat.sort_unstable();
-            let p50 = if lat.is_empty() {
-                0.0
-            } else {
-                percentile_ms(&lat, 0.5)
-            };
-            (
-                fixed_ms >= p50 / 2.0,
-                format!("fixed cost {fixed_ms:.3} ms of p50 {p50:.3} ms"),
-            )
-        }
     };
     let verdict = if held { "held" } else { "NOT HELD" };
     eprintln!("perfbench: {} defining property {verdict}: {what}", w.name);

@@ -19,15 +19,10 @@ use vida_core::{
 };
 
 /// Check engine answers against the reference, spreading the distinct
-/// queries over `threads` threads. `ok(answer, reference)` decides a
-/// match; returns the number of queries that failed to match (a query
-/// the reference cannot run counts as failed too).
-pub fn check<T: Sync>(
-    answers: &[(String, T)],
-    catalog: &dyn SourceProvider,
-    threads: usize,
-    ok: impl Fn(&T, &Value) -> bool + Sync,
-) -> u64 {
+/// queries over `threads` threads; returns the number of queries whose
+/// answer does not [`matches`] the reference (a query the reference
+/// cannot run counts as failed too).
+pub fn check(answers: &[(String, Value)], catalog: &dyn SourceProvider, threads: usize) -> u64 {
     let next = AtomicUsize::new(0);
     let failed = AtomicU64::new(0);
     std::thread::scope(|scope| {
@@ -39,7 +34,7 @@ pub fn check<T: Sync>(
                         .and_then(|e| lower(&e))
                         .and_then(|p| reference(&rewrite(&p), catalog, &mut memo));
                     match want {
-                        Ok(want) if ok(got, &want) => {}
+                        Ok(want) if matches(got, &want) => {}
                         other => {
                             let shown = other.map_or_else(|e| e.to_string(), |v| v.to_string());
                             let shown: String = shown.chars().take(200).collect();

@@ -1,8 +1,7 @@
-//! Closed-loop clients of the query service: each submits query text,
+//! One client of the query service: it submits each batch query in turn,
 //! waits for the whole response at a timestamping sink, and decodes every
-//! frame before sending its next query.
+//! frame before sending the next.
 
-use std::collections::HashMap;
 use std::io::{self, Write};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -53,93 +52,46 @@ impl Write for StampedSink {
     }
 }
 
-/// What the clients saw over one phase.
+/// What the client saw over one pass.
 #[derive(Default)]
 pub struct ClientTally {
-    pub completed: u64,
+    /// Rejected, failed or malformed responses.
     pub failed: u64,
-    /// Submit to last response byte, per query.
+    /// Submit to last response byte, per answered query.
     pub latency_ns: Vec<u64>,
     /// Submit to first response byte, summed.
     pub first_byte_ns: u64,
     /// First to last response byte, summed.
     pub stream_ns: u64,
-    /// The rows of the first successful response to each batch query.
-    pub first_rows: HashMap<usize, Vec<Vec<u8>>>,
+    /// The decoded rows of each answered query, by batch index.
+    pub rows: Vec<(usize, Vec<Vec<u8>>)>,
 }
 
-/// Run `clients` closed-loop client threads against `server` until
-/// `budget` has passed (a zero budget: until each has sent its share of
-/// `batch` once). Client `c` sends the batch queries `i` with
-/// `i % clients == c`, cycling. A rejected, failed or malformed response
-/// counts as failed, as does a repeat whose rows differ from the first
-/// answer to the same query.
-pub fn run_clients(
-    server: &QueryServer,
-    batch: &[String],
-    clients: usize,
-    budget: Duration,
-) -> ClientTally {
-    let start = Instant::now();
-    let one_pass = budget.is_zero();
-    let tallies: Vec<ClientTally> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mine: Vec<usize> = (c..batch.len()).step_by(clients).collect();
-                    let mut t = ClientTally::default();
-                    for (n, &i) in mine.iter().cycle().enumerate() {
-                        if (one_pass && n == mine.len()) || (!one_pass && start.elapsed() >= budget)
-                        {
-                            break;
-                        }
-                        let sink = StampedSink::default();
-                        let sent = Instant::now();
-                        let admitted = server
-                            .submit(QueryRequest::new(batch[i].clone(), Box::new(sink.clone())));
-                        let resp = sink.wait();
-                        let rows = match read_response(&mut resp.bytes.as_slice()) {
-                            Ok(r) if admitted && r.is_ok() => r.rows,
-                            _ => {
-                                t.failed += 1;
-                                continue;
-                            }
-                        };
-                        let (first, last) = (
-                            resp.first_byte.unwrap_or(sent),
-                            resp.last_byte.unwrap_or(sent),
-                        );
-                        t.latency_ns.push(nanos(last - sent));
-                        t.first_byte_ns += nanos(first.saturating_duration_since(sent));
-                        t.stream_ns += nanos(last.saturating_duration_since(first));
-                        match t.first_rows.get(&i) {
-                            Some(seen) if *seen != rows => t.failed += 1,
-                            Some(_) => t.completed += 1,
-                            None => {
-                                t.first_rows.insert(i, rows);
-                                t.completed += 1;
-                            }
-                        }
-                    }
-                    t
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread panicked"))
-            .collect()
-    });
-    let mut all = ClientTally::default();
-    for t in tallies {
-        all.completed += t.completed;
-        all.failed += t.failed;
-        all.latency_ns.extend(t.latency_ns);
-        all.first_byte_ns += t.first_byte_ns;
-        all.stream_ns += t.stream_ns;
-        all.first_rows.extend(t.first_rows);
+/// Send every query of `batch` once, in order, each after the previous
+/// response has ended.
+pub fn send_batch(server: &QueryServer, batch: &[String]) -> ClientTally {
+    let mut t = ClientTally::default();
+    for (i, text) in batch.iter().enumerate() {
+        let sink = StampedSink::default();
+        let sent = Instant::now();
+        let admitted = server.submit(QueryRequest::new(text.clone(), Box::new(sink.clone())));
+        let resp = sink.wait();
+        match read_response(&mut resp.bytes.as_slice()) {
+            Ok(r) if admitted && r.is_ok() => t.rows.push((i, r.rows)),
+            _ => {
+                t.failed += 1;
+                continue;
+            }
+        }
+        let (first, last) = (
+            resp.first_byte.unwrap_or(sent),
+            resp.last_byte.unwrap_or(sent),
+        );
+        t.latency_ns.push(nanos(last - sent));
+        t.first_byte_ns += nanos(first.saturating_duration_since(sent));
+        t.stream_ns += nanos(last.saturating_duration_since(first));
     }
-    all
+    t
 }
 
 pub fn nanos(d: Duration) -> u64 {
