@@ -1,5 +1,5 @@
-//! Overhead of per-query span tracing on the `streaming_fusion` chain
-//! shape (scan → select → hash-join probe → fold).
+//! Overhead of per-query span tracing on a scan → select → hash-join
+//! probe → fold chain.
 //!
 //! The PR-7 contract: with `JitOptions::trace` **off** the hooks are single
 //! `Option` checks and the cost is indistinguishable from baseline; with it

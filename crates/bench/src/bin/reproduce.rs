@@ -47,9 +47,10 @@ UTILITIES:
 
 OPTIONS:
     --threads N       morsel-driven worker threads for query execution
-                      (default 1 = serial; clamped to the machine's
-                      available parallelism; see `cargo bench
-                      parallel_scale` for the thread-sweep microbenchmark)
+                      (default 1 = every morsel inline on the caller;
+                      clamped to the machine's available parallelism; see
+                      `cargo bench parallel_scale` for the thread-sweep
+                      microbenchmark)
     --queries N       number of workload queries to generate (default 200)
     --mix MIX         workload mix: 'hbp' (selections, joins, and
                       aggregates with the paper's locality skew; default),

@@ -1,14 +1,14 @@
 //! The resident query engine: one long-lived owner of all cross-query
 //! execution state.
 //!
-//! [`run_jit`](crate::run_jit) treats every query as an island — it spawns
-//! worker threads, builds a string interner, and throws both away when the
+//! [`run_jit`](crate::run_jit) treats every query as an island — it starts
+//! a worker pool, builds a string interner, and throws both away when the
 //! call returns. An [`Engine`] keeps that state resident instead:
 //!
-//! - **one worker pool** (`WorkerPool::resident`): workers spawn once and
-//!   park between queries; parallel phases *attach* runs to the pool
-//!   instead of spawning threads, and concurrent sessions' morsels
-//!   interleave on the same workers (morsel-granularity time slicing);
+//! - **one worker pool** ([`WorkerPool`]): workers spawn once and park
+//!   between queries; every morsel phase *attaches* a run to the pool, and
+//!   concurrent sessions' morsels interleave on the same workers
+//!   (morsel-granularity time slicing);
 //! - **the shared catalog, cache, and cost model** (carried inside the
 //!   engine's default [`JitOptions`]): replica caches, sketches, and
 //!   PR-9-style plugin revalidation all accumulate across queries exactly
@@ -85,7 +85,7 @@ impl Engine {
     /// other options (cache, cost model, tracing, …) become per-session
     /// defaults.
     pub fn new(catalog: Arc<dyn SourceProvider>, defaults: JitOptions) -> Self {
-        let pool = WorkerPool::resident(defaults.effective_threads());
+        let pool = WorkerPool::new(defaults.effective_threads());
         Engine {
             catalog,
             defaults,
@@ -309,8 +309,8 @@ mod tests {
 
     #[test]
     fn shim_and_engine_share_one_execution_path() {
-        // The shim's per-call context reproduces pre-resident behaviour:
-        // fresh interner, spawn-mode pool, identical stats shape.
+        // The shim's per-call context: fresh interner, per-call pool,
+        // identical stats shape.
         let cat = catalog();
         let plan = plan_of("for { p <- Patients, p.age > 60 } yield count p");
         let (v, stats) = run_jit_with_stats(&plan, cat.as_ref(), &JitOptions::default()).unwrap();

@@ -6,7 +6,7 @@
 //!
 //! 1. **The JIT executor** ([`pipeline`]) — the paper's contribution. At
 //!    query time it *generates* a specialized pipeline: input plugins bound
-//!    to exactly the attributes the query touches, Cranelift-compiled
+//!    to exactly the attributes the query touches, compiled
 //!    predicate/projection kernels over register frames, hash joins when
 //!    equi-keys exist, fused monoid accumulators, and layout-aware cache
 //!    reads/writes. No general-purpose checks survive into the inner loop.

@@ -60,23 +60,19 @@
 //! intermediate `Vec<Tuple>`** between operators. The only pipeline
 //! breakers are join build sides (hash tables / band indexes), which
 //! materialize once per join before the loop starts.
-//! `ExecStats::operator_materializations` stays 0 on every pipeline-covered
-//! shape (and `fused_stage_depth` reports the fused chain length); the
-//! legacy pull-and-materialize executor survives behind
-//! `JitOptions::materialize_stages` as the ablation baseline the
-//! `streaming_fusion` bench measures against.
+//! `ExecStats::operator_materializations` counts every tuple buffer built
+//! beyond those build sides, so it stays 0 on every pipeline-covered shape
+//! (and `fused_stage_depth` reports the fused chain length).
 //!
-//! With `JitOptions::threads > 1` the same fused pipeline runs
-//! **morsel-driven parallel** (`vida-parallel`): raw scans split into
-//! aligned byte ranges parsed by concurrent workers, join builds
-//! materialize morsel-parallel (radix-partitioned), and the leftmost scan's
-//! rows split into morsels that each worker drives through the whole stage
-//! chain into a private partial fold; partials merge in morsel order.
+//! There is one execution path, **morsel-driven** (`vida-parallel`): raw
+//! scans split into aligned byte ranges parsed by the pool's workers, join
+//! builds materialize morsel-wise (radix-partitioned), and the leftmost
+//! scan's rows split into morsels that each worker drives through the
+//! whole stage chain into a private partial fold; partials merge in morsel
+//! order. A one-worker pool runs the same morsels inline on the caller.
 //! Morsel boundaries depend only on the data — never the worker count — so
-//! every parallel thread count produces the same result (float folds
-//! reassociate at morsel boundaries, so serial vs parallel can differ in
-//! the last ulp for `sum`/`prod`/`avg` over floats; everything else is
-//! bit-identical), and `threads <= 1` takes the serial push loop.
+//! every worker count, one included, produces a bit-identical result,
+//! float `sum`/`prod`/`avg` included.
 
 use crate::catalog::SourceProvider;
 use crate::stats::ExecStats;
@@ -93,9 +89,7 @@ use vida_jit::frame::{decode_output, StringInterner};
 use vida_jit::{CompiledKernel, FrameLayout, JitCompiler, SelectKernel, SharedInterner, SlotType};
 use vida_lang::{eval, BinOp, Bindings, Expr, Qualifier};
 use vida_optimizer::{CostModel, FieldObservation};
-use vida_parallel::{
-    partition_of, plan_scan, plan_scan_tail, radix, MorselPlan, WorkerPool, DEFAULT_MORSEL_UNITS,
-};
+use vida_parallel::{partition_of, plan_scan_tail, radix, MorselPlan, WorkerPool};
 use vida_trace::{stage, QueryTrace};
 use vida_types::{CollectionKind, Monoid, PrimitiveMonoid, Result, Type, Value, VidaError};
 
@@ -149,15 +143,13 @@ pub struct JitOptions {
     /// the interpreter (isolates codegen wins in benchmarks); joins need
     /// compiled key kernels and fall back to the Volcano engine wholesale.
     pub interpret_only: bool,
-    /// Worker threads for morsel-driven execution. `0` or `1` runs the
-    /// original serial path (bit-identical to the pre-parallel engine);
-    /// higher counts split scans, joins, and folds across workers. Every
-    /// parallel thread count produces the same result: morsel boundaries
-    /// depend only on the data, and partial folds merge in morsel order.
-    /// The parallel result also equals the serial one, except that float
-    /// `sum`/`prod`/`avg` reassociate addition at morsel boundaries and may
-    /// differ from serial in the last ulp (tuple sets, element order, and
-    /// every exact monoid match bit for bit).
+    /// Worker threads that drive the query's morsels (`0` normalizes to
+    /// 1). Scans, join builds, and folds always run morsel-wise; one worker
+    /// runs every morsel inline on the caller, more split them across the
+    /// pool. Every worker count produces a bit-identical result: morsel
+    /// boundaries depend only on the data, and partial folds merge in
+    /// morsel order, so even float `sum`/`prod`/`avg` associate the same
+    /// way at 1 worker as at 8.
     pub threads: usize,
     /// Units per morsel for unit-count morsel plans (`0` = the
     /// `vida-parallel` default). Mainly for tests, which shrink it to force
@@ -168,13 +160,6 @@ pub struct JitOptions {
     /// upside. Set `false` to force oversubscription (tests and scheduling
     /// benchmarks deliberately run many workers on few cores).
     pub clamp_threads: bool,
-    /// Ablation baseline: run the legacy **materializing** executor — every
-    /// operator stage produces a full `Vec<Tuple>` handed to the next stage
-    /// — instead of the streaming push loop. Serial only (`threads` is
-    /// ignored). `ExecStats::operator_materializations` counts the buffers
-    /// it pays for; the `streaming_fusion` bench uses it to measure what
-    /// fusion buys.
-    pub materialize_stages: bool,
     /// Record a per-query span trace (opt-in observability): nested stage
     /// spans on the coordinator track, per-morsel spans on worker tracks,
     /// and per-kernel invocation counts, all collected into
@@ -202,7 +187,6 @@ impl Default for JitOptions {
             threads: 0,
             morsel_rows: 0,
             clamp_threads: true,
-            materialize_stages: false,
             trace: false,
             plan_opt: true,
         }
@@ -294,9 +278,9 @@ pub fn run_jit(plan: &Plan, catalog: &dyn SourceProvider, opts: &JitOptions) -> 
 /// Execute a plan with the JIT engine, returning execution statistics.
 ///
 /// This is the compatibility shim over the resident-engine execution path:
-/// it synthesizes a per-call spawn-mode pool and a private interner, so
-/// behaviour matches the pre-resident engine exactly (worker threads spawn
-/// per parallel phase and string ids start at zero every call). Long-lived
+/// it builds a per-call worker pool and a private interner, so string ids
+/// start at zero every call and a multi-worker call starts (and joins) its
+/// workers once. A one-worker call starts no thread at all. Long-lived
 /// callers should hold an [`Engine`](crate::engine::Engine) instead and let
 /// its sessions share one parked worker pool, cache, and interner.
 pub fn run_jit_with_stats(
@@ -516,16 +500,12 @@ struct Pipeline {
     /// Datasets referenced inside nested head/predicate comprehensions,
     /// materialized up front (mirrors the Volcano engine).
     base_env: Bindings,
-    /// Morsel-driven worker count; 1 = the serial path.
-    threads: usize,
-    /// The pool parallel phases submit to: the engine's resident pool
-    /// (workers parked between queries, runs attached) or a per-query
-    /// spawn-mode pool under the `run_jit` shim.
+    /// The pool every morsel phase submits to: the engine's resident pool
+    /// or a per-call pool under the `run_jit` shim. Its worker count is
+    /// the query's.
     pool: WorkerPool,
     /// Units per morsel (0 = `vida-parallel` default).
     morsel_rows: usize,
-    /// Run the legacy materializing executor instead of the push loop.
-    materialize_stages: bool,
     /// Fold-partial cache seam for single-source primitive folds (`None`
     /// for every other shape — they always run the plain full fold).
     fold_seam: Option<FoldSeam>,
@@ -533,13 +513,12 @@ struct Pipeline {
 
 /// Where cached pre-finalize fold partials are looked up and refreshed,
 /// for queries that qualify: one scanned source (selects allowed), no
-/// joins/unnests, a primitive output monoid, no free datasets, and not the
-/// materializing ablation. When revalidation proved the source grew in
-/// place and the cached partial covers exactly the unchanged prefix,
-/// `reuse` carries it — the executor then drives only rows
-/// `reuse.rows..nrows` and merges the partial in front (ViDa's O(delta)
-/// warm re-query). After every qualifying fold the refreshed accumulator
-/// is stored back under the current fingerprint.
+/// joins/unnests, a primitive output monoid, and no free datasets. When
+/// revalidation proved the source grew in place and the cached partial
+/// covers exactly the unchanged prefix, `reuse` carries it — the executor
+/// then drives only rows `reuse.rows..nrows` and merges the partial in
+/// front (ViDa's O(delta) warm re-query). After every qualifying fold the
+/// refreshed accumulator is stored back under the current fingerprint.
 struct FoldSeam {
     cache: Arc<CacheManager>,
     dataset: String,
@@ -920,18 +899,6 @@ impl<'a> PipelineBuilder<'a> {
         }
     }
 
-    /// Worker count execution actually uses: the resident pool's size when
-    /// one is attached (sessions share the engine's parked workers — a
-    /// per-query `threads` request cannot grow the pool), the clamped
-    /// option count otherwise.
-    fn exec_threads(&self) -> usize {
-        if self.ctx.pool.is_resident() {
-            self.ctx.pool.threads()
-        } else {
-            self.opts.effective_threads()
-        }
-    }
-
     /// `Ok(None)` = shape outside the generated pipelines (use the fallback
     /// engine); errors are real (catalog failures, kernel bugs).
     fn build(mut self, plan: &Plan) -> Result<Option<Pipeline>> {
@@ -1173,8 +1140,7 @@ impl<'a> PipelineBuilder<'a> {
                 if matches!(*monoid, Monoid::Primitive(_))
                     && matches!(root, Node::Source(_))
                     && unnests.is_empty()
-                    && base_env.is_empty()
-                    && !self.opts.materialize_stages =>
+                    && base_env.is_empty() =>
             {
                 let query_hash = fnv1a(&format!("{plan:?}"));
                 let reuse = match self.freshness.get(&dataset) {
@@ -1210,10 +1176,8 @@ impl<'a> PipelineBuilder<'a> {
             frame_width: layout.len(),
             interner,
             base_env,
-            threads: self.exec_threads(),
             pool: self.ctx.pool.clone(),
             morsel_rows: self.opts.morsel_rows,
-            materialize_stages: self.opts.materialize_stages,
             fold_seam,
         }))
     }
@@ -1470,31 +1434,10 @@ impl<'a> PipelineBuilder<'a> {
         }
 
         if !grown.is_empty() {
-            let (_, _, prefix_units) = grown_info.expect("grown implies Extended");
-            let from = prefix_units;
-            self.stats.span_begin(stage::SCAN);
-            let tail_morsels = if self.stats.trace.is_some() {
-                plan_scan_tail(plugin.as_ref(), self.opts.morsel_rows, from).len() as u64
-            } else {
-                0
-            };
+            let (prev_fingerprint, _, from) = grown_info.expect("grown implies Extended");
             let cols: Vec<usize> = grown.iter().map(|&(i, _)| touched[i]).collect();
-            let tails = if self.exec_threads() > 1 {
-                self.scan_columns_parallel(plugin, &cols, from)?
-            } else {
-                let mut read: Vec<Vec<Value>> = vec![Vec::new(); cols.len()];
-                plugin.scan_project_range(&cols, from..nrows, &mut |_, vals| {
-                    for (c, v) in read.iter_mut().zip(vals) {
-                        c.push(v);
-                    }
-                    Ok(())
-                })?;
-                read
-            };
+            let tails = self.scan_columns(plugin, &cols, from)?;
             self.stats.tail_rows_scanned += (nrows - from) as u64;
-            self.stats
-                .span_end_counted((nrows - from) as u64, tail_morsels);
-            let (prev_fingerprint, _, _) = grown_info.expect("grown implies Extended");
             for ((i, prefix), tail) in grown.into_iter().zip(tails) {
                 let cache = self.opts.cache.as_ref().expect("grown implies cache");
                 let field = &schema.fields()[touched[i]].name;
@@ -1551,29 +1494,8 @@ impl<'a> PipelineBuilder<'a> {
         }
 
         if !missing.is_empty() {
-            self.stats.span_begin(stage::SCAN);
-            // Morsel count mirrors what the parallel scan dispatches, so the
-            // scan span aggregates identically at every thread count (the
-            // plan depends only on the data). Computed only when tracing.
-            let scan_morsels = if self.stats.trace.is_some() {
-                plan_scan(plugin.as_ref(), self.opts.morsel_rows).len() as u64
-            } else {
-                0
-            };
             let cols: Vec<usize> = missing.iter().map(|&i| touched[i]).collect();
-            let read = if self.exec_threads() > 1 {
-                self.scan_columns_parallel(plugin, &cols, 0)?
-            } else {
-                let mut read: Vec<Vec<Value>> = vec![Vec::new(); cols.len()];
-                plugin.scan_project(&cols, &mut |_, vals| {
-                    for (c, v) in read.iter_mut().zip(vals) {
-                        c.push(v);
-                    }
-                    Ok(())
-                })?;
-                read
-            };
-            self.stats.span_end_counted(nrows as u64, scan_morsels);
+            let read = self.scan_columns(plugin, &cols, 0)?;
             for (&i, col_vals) in missing.iter().zip(read) {
                 let field = &schema.fields()[touched[i]].name;
                 let full = Arc::new(col_vals);
@@ -1604,10 +1526,10 @@ impl<'a> PipelineBuilder<'a> {
 
     /// Rehydrate one cached replica into a parsed column. `Positions`
     /// replicas seek straight into the raw file via the plugin's span
-    /// parser; everything else decodes in memory. With multiple workers the
-    /// decode is morsel-driven (the warm-cache half of parallel execution),
-    /// and chunks concatenate in morsel order so the column is identical to
-    /// a serial decode.
+    /// parser; everything else decodes in memory. The decode is
+    /// morsel-driven (the warm-cache half of parallel execution), and
+    /// chunks concatenate in morsel order so the column is the same at
+    /// every worker count.
     fn decode_replica(
         &mut self,
         plugin: &Arc<dyn vida_formats::InputPlugin>,
@@ -1621,45 +1543,40 @@ impl<'a> PipelineBuilder<'a> {
                 other => other.get(r),
             }
         };
-        let threads = self.exec_threads();
-        if threads > 1 && nrows > 1 {
-            let plan = MorselPlan::fixed(nrows, self.opts.morsel_rows);
-            self.stats.morsels += plan.len() as u64;
-            let epoch = self.stats.trace_epoch();
-            let chunks = self.ctx.pool.run_morsels(
-                plan.len(),
-                |w| w,
-                |w, m| {
-                    // Timing-only worker sub-spans: the coordinator's probe
-                    // span carries the counts, so aggregates stay identical
-                    // to a serial decode.
-                    let mut wt = epoch.map(|e| {
-                        let mut t = QueryTrace::with_epoch(*w as u32 + 1, e);
-                        t.begin(stage::CACHE_PROBE);
-                        t
-                    });
-                    let range = plan.range(m);
-                    let mut chunk = Vec::with_capacity(range.len());
-                    for r in range {
-                        chunk.push(decode_row(r)?);
-                    }
-                    if let Some(t) = wt.as_mut() {
-                        t.end_counted(0, 0);
-                    }
-                    Ok::<_, VidaError>((chunk, wt))
-                },
-            )?;
-            let mut out = Vec::with_capacity(nrows);
-            for (chunk, wt) in chunks {
-                if let (Some(mine), Some(wt)) = (self.stats.trace.as_deref_mut(), wt) {
-                    mine.absorb(wt);
+        let plan = MorselPlan::fixed(nrows, self.opts.morsel_rows);
+        self.stats.morsels += plan.len() as u64;
+        let epoch = self.stats.trace_epoch();
+        let chunks = self.ctx.pool.run_morsels(
+            plan.len(),
+            |w| w,
+            |w, m| {
+                // Timing-only worker sub-spans: the coordinator's probe
+                // span carries the counts, so aggregates stay identical at
+                // every worker count.
+                let mut wt = epoch.map(|e| {
+                    let mut t = QueryTrace::with_epoch(*w as u32 + 1, e);
+                    t.begin(stage::CACHE_PROBE);
+                    t
+                });
+                let range = plan.range(m);
+                let mut chunk = Vec::with_capacity(range.len());
+                for r in range {
+                    chunk.push(decode_row(r)?);
                 }
-                out.extend(chunk);
+                if let Some(t) = wt.as_mut() {
+                    t.end_counted(0, 0);
+                }
+                Ok::<_, VidaError>((chunk, wt))
+            },
+        )?;
+        let mut out = Vec::with_capacity(nrows);
+        for (chunk, wt) in chunks {
+            if let (Some(mine), Some(wt)) = (self.stats.trace.as_deref_mut(), wt) {
+                mine.absorb(wt);
             }
-            Ok(out)
-        } else {
-            (0..nrows).map(decode_row).collect()
+            out.extend(chunk);
         }
+        Ok(out)
     }
 
     /// The post-query cost-model step (§5): fold this query's access
@@ -1779,27 +1696,28 @@ impl<'a> PipelineBuilder<'a> {
         }
     }
 
-    /// The parallel raw scan: the dispatcher splits the file into aligned
-    /// morsels (newline-aligned CSV byte ranges, record-aligned JSON spans)
-    /// and workers parse disjoint ranges concurrently, sharing only the
+    /// The raw scan: the dispatcher splits the file into aligned morsels
+    /// (newline-aligned CSV byte ranges, record-aligned JSON spans) and the
+    /// pool's workers parse disjoint ranges concurrently, sharing only the
     /// atomic positional structures. Chunks concatenate in morsel order, so
-    /// the materialized columns are identical to a serial scan's. `from`
+    /// the materialized columns are the same at every worker count. `from`
     /// restricts the scan to units `from..num_units()` — the appended tail
     /// of a grown file (`0` scans everything).
-    fn scan_columns_parallel(
+    fn scan_columns(
         &mut self,
         plugin: &Arc<dyn vida_formats::InputPlugin>,
         cols: &[usize],
         from: usize,
     ) -> Result<Vec<Vec<Value>>> {
+        self.stats.span_begin(stage::SCAN);
         let plan = plan_scan_tail(plugin.as_ref(), self.opts.morsel_rows, from);
         let epoch = self.stats.trace_epoch();
         let chunks = self.ctx.pool.run_morsels(
             plan.len(),
             |w| w,
             |w, m| {
-                // Timing-only worker sub-spans (counts live on the
-                // coordinator's scan span — see materialize_columns).
+                // Timing-only worker sub-spans: the coordinator's scan span
+                // carries the counts.
                 let mut wt = epoch.map(|e| {
                     let mut t = QueryTrace::with_epoch(*w as u32 + 1, e);
                     t.begin(stage::SCAN);
@@ -1829,6 +1747,8 @@ impl<'a> PipelineBuilder<'a> {
                 o.extend(c);
             }
         }
+        self.stats
+            .span_end_counted(plan.units() as u64, plan.len() as u64);
         Ok(out)
     }
 
@@ -2211,118 +2131,6 @@ impl<'a> PipelineBuilder<'a> {
 // ---------------------------------------------------------------------------
 
 impl Pipeline {
-    fn execute(self, stats: &mut ExecStats) -> Result<Value> {
-        stats.threads = self.threads as u32;
-        if self.materialize_stages {
-            // Ablation baseline: the pre-streaming pull-and-materialize
-            // executor (serial; `operator_materializations` counts its
-            // inter-operator buffers).
-            return self.execute_materialized(stats);
-        }
-        stats.fused_stage_depth = fused_depth(&self.root) + 1; // + the fold
-        if self.threads > 1 {
-            return self.execute_parallel(stats);
-        }
-
-        // Serial push loop: prepare the pipeline breakers (join build
-        // sides), then drive every leftmost-scan row through the fused
-        // stage chain straight into the fold — no intermediate Vec<Tuple>.
-        let joins = has_join(&self.root);
-        if joins {
-            stats.span_begin(stage::BUILD_SIDE);
-        }
-        let builds = self.prepare_builds(None, stats)?;
-        if joins {
-            stats.span_end();
-        }
-        let nrows = self.sources[leftmost_source(&self.root)].nrows;
-        // A reusable cached prefix partial shrinks the drive to the
-        // appended rows; the fold arms merge the partial in front.
-        let from = self.fold_reuse_rows();
-        let dstage = drive_stage(&self.root);
-        stats.span_begin(stage::FOLD);
-        let value = self.fold_stream(stats, |stats, sink| {
-            if stats.trace.is_none() {
-                return self.drive(&self.root, from..nrows, &builds, stats, sink);
-            }
-            // Traced drive: count pushed tuples through a wrapping sink and
-            // report the morsel count the parallel grid would dispatch, so
-            // the span aggregates identically at every thread count.
-            stats.span_begin(dstage);
-            let mut pushed = 0u64;
-            let r = self.drive(&self.root, from..nrows, &builds, stats, &mut |stats, t| {
-                pushed += 1;
-                sink(stats, t)
-            });
-            stats.span_end_counted(pushed, morsel_count(nrows - from, self.morsel_rows));
-            r
-        })?;
-        stats.span_end();
-        Ok(value)
-    }
-
-    /// The serial fold: `produce` pushes every surviving tuple into the
-    /// sink this function provides, and the sink folds straight into the
-    /// output monoid. Collection monoids accumulate and canonicalize once;
-    /// primitives merge incrementally (preserving overflow and type-error
-    /// semantics); `count` with a total head just counts. Shared by the
-    /// streaming drive and the materializing ablation, so the two engines
-    /// cannot diverge on fold semantics.
-    fn fold_stream(
-        &self,
-        stats: &mut ExecStats,
-        produce: impl FnOnce(&mut ExecStats, TupleSink<'_>) -> Result<()>,
-    ) -> Result<Value> {
-        match self.monoid {
-            Monoid::Collection(kind) => {
-                let mut items = Vec::new();
-                produce(stats, &mut |stats, t| {
-                    stats.actual_rows += 1;
-                    items.push(self.head_value(&t, stats)?);
-                    Ok(())
-                })?;
-                Ok(match kind {
-                    CollectionKind::Set => Value::set(items),
-                    k => Value::Collection(k, items),
-                })
-            }
-            Monoid::Primitive(PrimitiveMonoid::Count)
-                if matches!(self.head, HeadPlan::CountOnly) =>
-            {
-                // A reused partial in this arm is always the plain count
-                // (the same plan hash always lands in the same arm).
-                let mut n = match self.fold_reuse_partial(stats) {
-                    Some(Value::Int(k)) => k,
-                    _ => 0,
-                };
-                produce(stats, &mut |stats, _| {
-                    stats.actual_rows += 1;
-                    n += 1;
-                    Ok(())
-                })?;
-                self.store_fold_partial(&Value::Int(n));
-                Ok(Value::Int(n))
-            }
-            m => {
-                // Seed from the cached prefix partial when one is valid:
-                // `merge(prefix, unit(v))` is exactly the in-order merge a
-                // full serial fold would have reached after the prefix rows.
-                let mut acc = match self.fold_reuse_partial(stats) {
-                    Some(prefix) => prefix,
-                    None => m.zero(),
-                };
-                produce(stats, &mut |stats, t| {
-                    stats.actual_rows += 1;
-                    let v = self.head_value(&t, stats)?;
-                    acc = m.merge(std::mem::replace(&mut acc, Value::Null), m.unit(v))?;
-                    Ok(())
-                })?;
-                self.store_fold_partial(&acc);
-                m.finalize(acc)
-            }
-        }
-    }
-
     /// Rows covered by a reusable cached prefix partial — the drive starts
     /// there (0 = no reuse, fold everything).
     fn fold_reuse_rows(&self) -> usize {
@@ -2501,15 +2309,17 @@ impl Pipeline {
         Ok(())
     }
 
-    /// Materialize a source's tuples over a row range — used only where a
-    /// buffer is genuinely required: join build sides (pipeline breakers)
-    /// and the legacy materializing executor.
+    /// Materialize a source's tuples over a row range — only where a buffer
+    /// is genuinely required: join build sides (pipeline breakers). Every
+    /// call counts one `operator_materializations` buffer; `execute`
+    /// reports the count beyond the build sides the plan expects.
     fn source_tuples_range(
         &self,
         idx: usize,
         rows: std::ops::Range<usize>,
         stats: &mut ExecStats,
     ) -> Result<Vec<Tuple>> {
+        stats.operator_materializations += 1;
         let mut out = Vec::new();
         self.push_source(idx, rows, stats, &mut |_, t| {
             out.push(t);
@@ -2605,16 +2415,12 @@ impl Pipeline {
 
     /// Materialize the build side of every join in the tree, in the DFS
     /// order `assemble` assigned build slots. These are the pipeline
-    /// breakers of push execution: each right side scans into a tuple
-    /// buffer once (morsel-parallel when a pool is given), then hashes into
-    /// radix-partitioned tables or sorts into a band index. Partition
-    /// counts and bucket order depend only on the data, so every thread
-    /// count probes identical candidate sets.
-    fn prepare_builds(
-        &self,
-        pool: Option<&WorkerPool>,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<JoinBuild>> {
+    /// breakers of push execution: each right side scans morsel-wise into a
+    /// tuple buffer once, then hashes into radix-partitioned tables or
+    /// sorts into a band index. Partition counts and bucket order depend
+    /// only on the data, so every worker count probes identical candidate
+    /// sets.
+    fn prepare_builds(&self, pool: &WorkerPool, stats: &mut ExecStats) -> Result<Vec<JoinBuild>> {
         let mut builds = Vec::new();
         self.prepare_builds_node(&self.root, pool, stats, &mut builds)?;
         Ok(builds)
@@ -2623,7 +2429,7 @@ impl Pipeline {
     fn prepare_builds_node(
         &self,
         node: &Node,
-        pool: Option<&WorkerPool>,
+        pool: &WorkerPool,
         stats: &mut ExecStats,
         builds: &mut Vec<JoinBuild>,
     ) -> Result<()> {
@@ -2679,31 +2485,37 @@ impl Pipeline {
         }
     }
 
-    /// Build-side scan: the whole source serially, morsel-parallel with a
-    /// pool.
+    /// Build-side scan: one tuple buffer per morsel, concatenated in morsel
+    /// order, so the buffer is the same at every worker count.
     fn build_side_tuples(
         &self,
         idx: usize,
-        pool: Option<&WorkerPool>,
+        pool: &WorkerPool,
         stats: &mut ExecStats,
     ) -> Result<Vec<Tuple>> {
-        match pool {
-            Some(pool) => self.source_tuples_parallel(idx, pool, stats),
-            None => {
-                // The serial build scan carries the same counts the
-                // parallel per-morsel worker spans sum to.
-                let nrows = self.sources[idx].nrows;
-                stats.span_begin(stage::BUILD_SIDE);
-                let out = self.source_tuples_range(idx, 0..nrows, stats)?;
-                stats.span_end_counted(out.len() as u64, morsel_count(nrows, self.morsel_rows));
-                Ok(out)
-            }
-        }
+        let plan = MorselPlan::fixed(self.sources[idx].nrows, self.morsel_rows);
+        stats.morsels += plan.len() as u64;
+        let epoch = stats.trace_epoch();
+        pool.fold_morsels(
+            plan.len(),
+            |w, m| {
+                let mut ws = worker_stats(w, epoch);
+                ws.span_begin(stage::BUILD_SIDE);
+                let out = self.source_tuples_range(idx, plan.range(m), &mut ws)?;
+                ws.span_end_counted(out.len() as u64, 1);
+                Ok::<_, VidaError>((out, ws))
+            },
+            Vec::new(),
+            |mut all, (chunk, ws)| {
+                all.extend(chunk);
+                stats.absorb_worker(ws);
+                Ok(all)
+            },
+        )
     }
 
     /// Emit the surviving join pairs of one probe tuple against its
-    /// candidate build tuples, pushing each straight into `sink` (shared by
-    /// the streaming drive and the legacy materializing executor).
+    /// candidate build tuples, pushing each straight into `sink`.
     #[allow(clippy::too_many_arguments)]
     fn probe_pairs(
         &self,
@@ -2748,8 +2560,7 @@ impl Pipeline {
 
     /// Flatten one input tuple through an unnest stage: one output tuple
     /// per collection element, frames extended with the element slots,
-    /// stage selects applied, survivors pushed into `sink` (shared by the
-    /// streaming drive and the legacy materializing executor).
+    /// stage selects applied, survivors pushed into `sink`.
     fn unnest_tuple(
         &self,
         stage: usize,
@@ -2808,119 +2619,6 @@ impl Pipeline {
         }
         Ok(())
     }
-
-    /// The legacy pull-and-materialize executor (ablation baseline behind
-    /// [`JitOptions::materialize_stages`]): every operator stage produces a
-    /// full `Vec<Tuple>` handed to the next stage, and
-    /// `ExecStats::operator_materializations` counts each buffer. Serial
-    /// only — it exists so the `streaming_fusion` bench can measure what
-    /// the push loop buys.
-    fn execute_materialized(&self, stats: &mut ExecStats) -> Result<Value> {
-        let tuples = self.exec_node_materialized(&self.root, stats)?;
-        // Feed the materialized buffer through the same fold the streaming
-        // engine uses.
-        self.fold_stream(stats, |stats, sink| {
-            for t in tuples {
-                sink(stats, t)?;
-            }
-            Ok(())
-        })
-    }
-
-    fn exec_node_materialized(&self, node: &Node, stats: &mut ExecStats) -> Result<Vec<Tuple>> {
-        // Each arm materializes its full output before the parent consumes
-        // it — the inter-operator buffer the streaming engine eliminates.
-        stats.operator_materializations += 1;
-        let mut out = Vec::new();
-        let mut collect = |_: &mut ExecStats, t: Tuple| -> Result<()> {
-            out.push(t);
-            Ok(())
-        };
-        match node {
-            Node::Source(idx) => {
-                let nrows = self.sources[*idx].nrows;
-                self.push_source(*idx, 0..nrows, stats, &mut collect)?;
-            }
-            Node::HashJoin {
-                left,
-                right,
-                right_key,
-                left_key,
-                left_key_ty,
-                right_key_ty,
-                float_keys,
-                predicate,
-                selects,
-                ..
-            } => {
-                let left_tuples = self.exec_node_materialized(left, stats)?;
-                let right_tuples =
-                    self.source_tuples_range(*right, 0..self.sources[*right].nrows, stats)?;
-                let jb = JoinBuild::hash(
-                    right_tuples,
-                    right_key,
-                    *right_key_ty,
-                    *float_keys,
-                    None,
-                    self.morsel_rows,
-                    stats,
-                )?;
-                let rslots = &self.sources[*right].slots;
-                for lt in &left_tuples {
-                    let candidates = jb.hash_candidates(lt, left_key, *left_key_ty, *float_keys);
-                    self.probe_pairs(
-                        lt,
-                        &candidates,
-                        &jb.right_tuples,
-                        rslots,
-                        predicate,
-                        selects,
-                        stats,
-                        &mut collect,
-                    )?;
-                }
-            }
-            Node::ThetaJoin {
-                left,
-                right,
-                band,
-                predicate,
-                selects,
-                ..
-            } => {
-                let left_tuples = self.exec_node_materialized(left, stats)?;
-                let right_tuples =
-                    self.source_tuples_range(*right, 0..self.sources[*right].nrows, stats)?;
-                let index = band.as_ref().map(|b| BandIndex::build(b, &right_tuples));
-                let all: Vec<usize> = (0..right_tuples.len()).collect();
-                let rslots = &self.sources[*right].slots;
-                for lt in &left_tuples {
-                    let candidates = theta_candidates(lt, band.as_ref(), index.as_ref());
-                    self.probe_pairs(
-                        lt,
-                        candidates.as_deref().unwrap_or(&all),
-                        &right_tuples,
-                        rslots,
-                        predicate,
-                        selects,
-                        stats,
-                        &mut collect,
-                    )?;
-                }
-            }
-            Node::Unnest {
-                input,
-                stage,
-                selects,
-            } => {
-                let input_tuples = self.exec_node_materialized(input, stats)?;
-                for t in &input_tuples {
-                    self.unnest_tuple(*stage, selects, t, stats, &mut collect)?;
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 /// The consumer side of one pipeline stage: receives each surviving tuple
@@ -2935,8 +2633,8 @@ type TupleSink<'a> = &'a mut dyn FnMut(&mut ExecStats, Tuple) -> Result<()>;
 struct JoinBuild {
     right_tuples: Vec<Tuple>,
     /// Hash strategy: radix-partitioned tables (`partition_count` depends
-    /// only on the build size, so serial and parallel builds are
-    /// identical) plus the invalid-frame stragglers every probe checks
+    /// only on the build size, so every worker count builds the same
+    /// tables) plus the invalid-frame stragglers every probe checks
     /// through the interpreter.
     tables: Vec<HashMap<i64, Vec<usize>>>,
     partitions: usize,
@@ -2951,16 +2649,16 @@ struct JoinBuild {
 
 impl JoinBuild {
     /// Hash-join build: extract key bits, split by radix partition, and
-    /// assemble one table per partition. With a pool the extraction runs
-    /// morsel-wise and partition tables build in parallel; visiting
-    /// morsel pre-splits in morsel order keeps every bucket's index list
-    /// ascending — the same order a serial single-table build produces.
+    /// assemble one table per partition. The extraction runs morsel-wise
+    /// and partition tables build one per pool morsel; visiting morsel
+    /// pre-splits in morsel order keeps every bucket's index list
+    /// ascending, so every worker count builds the same tables.
     fn hash(
         right_tuples: Vec<Tuple>,
         right_key: &CompiledKernel,
         right_key_ty: SlotType,
         float_keys: bool,
-        pool: Option<&WorkerPool>,
+        pool: &WorkerPool,
         morsel_rows: usize,
         stats: &mut ExecStats,
     ) -> Result<JoinBuild> {
@@ -2968,84 +2666,55 @@ impl JoinBuild {
         let all = (0..right_tuples.len()).collect();
         let key_of = |t: &Tuple| encode_key(right_key.call(&t.frame), right_key_ty, float_keys);
         if stats.trace.is_some() {
-            // The build extracts the key of every valid tuple exactly once,
-            // serial or parallel.
+            // The build extracts the key of every valid tuple exactly once.
             let n = right_tuples.iter().filter(|t| t.valid).count() as u64;
             stats.kernel_hits(right_key.id(), n);
         }
-        match pool {
-            Some(pool) if pool.threads() > 1 => {
-                // Phase 1: workers pre-split key bits by partition,
-                // morsel-wise.
-                let rplan = MorselPlan::fixed(right_tuples.len(), morsel_rows);
-                stats.morsels += rplan.len() as u64;
-                let pre = pool.run_morsels(
-                    rplan.len(),
-                    |_| (),
-                    |_, m| {
-                        let mut parts: Vec<Vec<(i64, usize)>> = vec![Vec::new(); partitions];
-                        let mut loose: Vec<usize> = Vec::new();
-                        for i in rplan.range(m) {
-                            let t = &right_tuples[i];
-                            if t.valid {
-                                let k = key_of(t);
-                                parts[partition_of(k, partitions)].push((k, i));
-                            } else {
-                                loose.push(i);
-                            }
-                        }
-                        Ok::<_, VidaError>((parts, loose))
-                    },
-                )?;
-                // Phase 2: one worker per partition assembles that
-                // partition's table from the morsel-ordered pre-splits.
-                let tables = pool.run_morsels(
-                    partitions,
-                    |_| (),
-                    |_, p| {
-                        let mut table: HashMap<i64, Vec<usize>> = HashMap::new();
-                        for (parts, _) in &pre {
-                            for &(k, i) in &parts[p] {
-                                table.entry(k).or_default().push(i);
-                            }
-                        }
-                        Ok::<_, VidaError>(table)
-                    },
-                )?;
-                let loose = pre.iter().flat_map(|(_, l)| l.iter().copied()).collect();
-                Ok(JoinBuild {
-                    right_tuples,
-                    tables,
-                    partitions,
-                    loose,
-                    index: None,
-                    all,
-                })
-            }
-            _ => {
-                let mut tables: Vec<HashMap<i64, Vec<usize>>> = vec![HashMap::new(); partitions];
+        // Phase 1: workers pre-split key bits by partition, morsel-wise.
+        let rplan = MorselPlan::fixed(right_tuples.len(), morsel_rows);
+        stats.morsels += rplan.len() as u64;
+        let pre = pool.run_morsels(
+            rplan.len(),
+            |_| (),
+            |_, m| {
+                let mut parts: Vec<Vec<(i64, usize)>> = vec![Vec::new(); partitions];
                 let mut loose: Vec<usize> = Vec::new();
-                for (i, t) in right_tuples.iter().enumerate() {
+                for i in rplan.range(m) {
+                    let t = &right_tuples[i];
                     if t.valid {
                         let k = key_of(t);
-                        tables[partition_of(k, partitions)]
-                            .entry(k)
-                            .or_default()
-                            .push(i);
+                        parts[partition_of(k, partitions)].push((k, i));
                     } else {
                         loose.push(i);
                     }
                 }
-                Ok(JoinBuild {
-                    right_tuples,
-                    tables,
-                    partitions,
-                    loose,
-                    index: None,
-                    all,
-                })
-            }
-        }
+                Ok::<_, VidaError>((parts, loose))
+            },
+        )?;
+        // Phase 2: one morsel per partition assembles that partition's
+        // table from the morsel-ordered pre-splits.
+        let tables = pool.run_morsels(
+            partitions,
+            |_| (),
+            |_, p| {
+                let mut table: HashMap<i64, Vec<usize>> = HashMap::new();
+                for (parts, _) in &pre {
+                    for &(k, i) in &parts[p] {
+                        table.entry(k).or_default().push(i);
+                    }
+                }
+                Ok::<_, VidaError>(table)
+            },
+        )?;
+        let loose = pre.iter().flat_map(|(_, l)| l.iter().copied()).collect();
+        Ok(JoinBuild {
+            right_tuples,
+            tables,
+            partitions,
+            loose,
+            index: None,
+            all,
+        })
     }
 
     /// Theta-join build: tuples plus (for band joins) the sorted key index.
@@ -3118,17 +2787,6 @@ fn drive_stage(node: &Node) -> &'static str {
     } else {
         stage::SCAN
     }
-}
-
-/// Morsel count the serial path reports for a `units`-row range, matching
-/// `MorselPlan::fixed` so serial and parallel trace counters agree.
-fn morsel_count(units: usize, morsel_rows: usize) -> u64 {
-    let step = if morsel_rows == 0 {
-        DEFAULT_MORSEL_UNITS
-    } else {
-        morsel_rows
-    };
-    units.div_ceil(step) as u64
 }
 
 /// Scratch stats for one worker, carrying a trace buffer on the worker's
@@ -3259,35 +2917,37 @@ fn theta_candidates(
 }
 
 // ---------------------------------------------------------------------------
-// Morsel-driven parallel execution (vida-parallel)
+// Morsel-driven execution (vida-parallel)
 // ---------------------------------------------------------------------------
 //
-// The same fused push pipeline, executed by a worker pool: join build sides
-// materialize first (morsel-parallel, the pipeline breakers), then the
-// leftmost scan's rows split into morsels and each worker drives its morsel
-// through the whole stage chain into a private partial fold. Three
-// invariants keep every thread count result-identical:
+// The fused push pipeline, executed by the worker pool: join build sides
+// materialize first (morsel-wise, the pipeline breakers), then the leftmost
+// scan's rows split into morsels and each worker drives its morsel through
+// the whole stage chain into a private partial fold. A one-worker pool runs
+// the same morsels inline. Three invariants keep every worker count
+// result-identical:
 //
 // 1. Morsel grids depend only on the leftmost scan's row count (and the
 //    `morsel_rows` knob), never on the worker count, so the partial-result
 //    sequence is fixed.
 // 2. Per-morsel partials merge — and collection chunks concatenate — in
-//    morsel order (`WorkerPool::fold_morsels`), so element order matches
-//    the serial push loop exactly.
+//    morsel order (`WorkerPool::fold_morsels`), so element order and float
+//    association are the same at every worker count.
 // 3. The radix-partitioned build assigns partitions by key bits alone
 //    (partition count is a function of the build size, not the worker
 //    count), and bucket lists keep ascending build-tuple order, so every
-//    probe sees the same candidate set in the same order as a serial
-//    single-table build.
+//    probe sees the same candidate set in the same order.
 
 impl Pipeline {
-    fn execute_parallel(&self, stats: &mut ExecStats) -> Result<Value> {
+    fn execute(&self, stats: &mut ExecStats) -> Result<Value> {
         let pool = &self.pool;
+        stats.threads = pool.threads() as u32;
+        stats.fused_stage_depth = fused_depth(&self.root) + 1; // + the fold
         let joins = has_join(&self.root);
         if joins {
             stats.span_begin(stage::BUILD_SIDE);
         }
-        let builds = self.prepare_builds(Some(pool), stats)?;
+        let builds = self.prepare_builds(pool, stats)?;
         if joins {
             stats.span_end();
         }
@@ -3303,9 +2963,9 @@ impl Pipeline {
         stats.span_begin(stage::FOLD);
         let value = match self.monoid {
             Monoid::Collection(kind) => {
-                // Per-morsel head values, concatenated in morsel order:
-                // identical element sequence to the serial push loop, then
-                // one canonicalization.
+                // Per-morsel head values, concatenated in morsel order: the
+                // same element sequence at every worker count, then one
+                // canonicalization.
                 let items = pool.fold_morsels(
                     plan.len(),
                     |w, m| {
@@ -3410,36 +3070,25 @@ impl Pipeline {
             }
         }?;
         stats.span_end();
+        // Build sides are the plan's only legitimate tuple buffers (one per
+        // build-side morsel); anything beyond them broke fusion.
+        stats.operator_materializations = stats
+            .operator_materializations
+            .saturating_sub(self.build_side_buffers(&self.root));
         Ok(value)
     }
 
-    /// Morsel-parallel build-side scan: chunks concatenate in morsel order,
-    /// so the buffer is identical to a serial scan's.
-    fn source_tuples_parallel(
-        &self,
-        idx: usize,
-        pool: &WorkerPool,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<Tuple>> {
-        let plan = MorselPlan::fixed(self.sources[idx].nrows, self.morsel_rows);
-        stats.morsels += plan.len() as u64;
-        let epoch = stats.trace_epoch();
-        pool.fold_morsels(
-            plan.len(),
-            |w, m| {
-                let mut ws = worker_stats(w, epoch);
-                ws.span_begin(stage::BUILD_SIDE);
-                let out = self.source_tuples_range(idx, plan.range(m), &mut ws)?;
-                ws.span_end_counted(out.len() as u64, 1);
-                Ok::<_, VidaError>((out, ws))
-            },
-            Vec::new(),
-            |mut all, (chunk, ws)| {
-                all.extend(chunk);
-                stats.absorb_worker(ws);
-                Ok(all)
-            },
-        )
+    /// Tuple buffers the plan is expected to build: one per morsel of each
+    /// join's build side, the pipeline breakers.
+    fn build_side_buffers(&self, node: &Node) -> u64 {
+        match node {
+            Node::Source(_) => 0,
+            Node::Unnest { input, .. } => self.build_side_buffers(input),
+            Node::HashJoin { left, right, .. } | Node::ThetaJoin { left, right, .. } => {
+                let plan = MorselPlan::fixed(self.sources[*right].nrows, self.morsel_rows);
+                self.build_side_buffers(left) + plan.len() as u64
+            }
+        }
     }
 }
 
@@ -3997,7 +3646,8 @@ mod tests {
     #[test]
     fn parallel_execution_matches_serial() {
         // Tiny morsels force genuine multi-morsel scheduling even on the
-        // 3-row fixtures; results must be identical at every thread count.
+        // 3-row fixtures; results must be identical at every worker count,
+        // the one-worker (serial) run included.
         let queries = [
             "for { p <- Patients, p.age > 40 } yield count p",
             "for { p <- Patients } yield max p.age",
@@ -4052,6 +3702,7 @@ mod tests {
 
     #[test]
     fn serial_path_reports_one_thread() {
+        // Serial execution is the one-worker morsel run.
         let plan = plan_of("for { p <- Patients } yield sum p.age");
         let (_, stats) = run_jit_with_stats(&plan, &catalog(), &JitOptions::default()).unwrap();
         assert_eq!(stats.threads, 1);
@@ -4075,7 +3726,7 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(forced.effective_threads(), 4096);
-        // 0 still normalizes to the serial path either way.
+        // 0 still normalizes to one worker either way.
         assert_eq!(JitOptions::default().effective_threads(), 1);
     }
 
@@ -4321,44 +3972,85 @@ mod tests {
     }
 
     #[test]
-    fn materializing_ablation_agrees_and_counts_buffers() {
-        // materialize_stages runs the legacy pull executor: identical
-        // results, but one inter-operator Vec<Tuple> per stage.
+    fn buffers_outside_build_sides_count_as_materializations() {
+        // The counter is derived from where tuple buffers are built: join
+        // build sides are expected (one buffer per build morsel) and
+        // reported as 0, and any other buffer shows up as an excess.
         let cat = catalog();
-        let queries = [
-            ("for { p <- Patients, p.age > 60 } yield sum p.age", 1),
-            (
-                "for { p <- Patients, g <- Genetics, p.id = g.id } yield list g.snp",
-                2,
-            ),
-            (
-                "for { p <- Patients, g <- Genetics, p.id >= g.id } yield count p",
-                2,
-            ),
-        ];
-        for (q, buffers) in queries {
-            let plan = plan_of(q);
-            let streaming = run_jit(&plan, &cat, &JitOptions::default()).unwrap();
-            let opts = JitOptions {
-                materialize_stages: true,
-                ..Default::default()
-            };
-            let (v, stats) = run_jit_with_stats(&plan, &cat, &opts).unwrap();
-            assert_eq!(v, streaming, "ablation deviates for {q}");
-            assert_eq!(stats.operator_materializations, buffers, "{q}: {stats:?}");
-            assert_eq!(stats.fused_stage_depth, 0, "{q}: {stats:?}");
-        }
-        // The nested shapes agree too.
-        let cat = nested_catalog();
-        let plan = plan_of("for { r <- Regions, v <- r.voxels } yield list v");
-        let streaming = run_jit(&plan, &cat, &JitOptions::default()).unwrap();
         let opts = JitOptions {
-            materialize_stages: true,
+            morsel_rows: 1,
             ..Default::default()
         };
-        let (v, stats) = run_jit_with_stats(&plan, &cat, &opts).unwrap();
-        assert_eq!(v, streaming);
-        assert_eq!(stats.operator_materializations, 2, "{stats:?}");
+        let ctx = ExecContext {
+            pool: WorkerPool::new(1),
+            interner: Arc::new(SharedInterner::new()),
+            tenant: None,
+        };
+        for q in [
+            "for { p <- Patients, p.age > 60 } yield sum p.age",
+            "for { p <- Patients, g <- Genetics, p.id = g.id } yield list g.snp",
+        ] {
+            let plan = plan_of(q);
+            let mut stats = ExecStats::default();
+            let pipeline = PipelineBuilder::new(&cat, &opts, &ctx, &mut stats)
+                .build(&plan)
+                .unwrap()
+                .expect("pipeline-covered shape");
+            let (_, clean) = execute_with_context(&plan, &cat, &opts, &ctx).unwrap();
+            assert_eq!(clean.operator_materializations, 0, "{q}: {clean:?}");
+            // Buffer the leftmost scan's rows, as a materializing stage
+            // would, then run the pipeline on the same stats.
+            let left = leftmost_source(&pipeline.root);
+            let rows = 0..pipeline.sources[left].nrows;
+            pipeline
+                .source_tuples_range(left, rows, &mut stats)
+                .unwrap();
+            pipeline.execute(&mut stats).unwrap();
+            assert_eq!(stats.operator_materializations, 1, "{q}: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn float_folds_are_bit_identical_at_every_worker_count() {
+        // Six 0.1s: the left-to-right sum is 0.6, but summing two-row
+        // morsels and merging the partials gives 0.6000000000000001. Every
+        // worker count, one included, must take the morsel order.
+        let cat = MemoryCatalog::new();
+        let rows: Vec<Value> = (0..6)
+            .map(|i| Value::record([("id", Value::Int(i)), ("x", Value::Float(0.1))]))
+            .collect();
+        cat.register_records(
+            "F",
+            Schema::from_pairs([("id", Type::Int), ("x", Type::Float)]),
+            &rows,
+        )
+        .unwrap();
+        let left_to_right = (0..6).fold(0.0f64, |acc, _| acc + 0.1);
+        let morsel_order = (0..3).fold(0.0f64, |acc, _| acc + (0.1 + 0.1));
+        assert_ne!(left_to_right.to_bits(), morsel_order.to_bits());
+        for (q, expected) in [
+            ("for { f <- F } yield sum f.x", morsel_order),
+            ("for { f <- F } yield avg f.x", morsel_order / 6.0),
+        ] {
+            let plan = plan_of(q);
+            for threads in [1usize, 2, 8] {
+                let opts = JitOptions {
+                    threads,
+                    morsel_rows: 2,
+                    clamp_threads: false,
+                    ..Default::default()
+                };
+                let v = run_jit(&plan, &cat, &opts).unwrap();
+                let Value::Float(got) = v else {
+                    panic!("{q}: non-float result {v:?}");
+                };
+                assert_eq!(
+                    got.to_bits(),
+                    expected.to_bits(),
+                    "{q} at {threads} worker(s): {got:?} vs {expected:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! These counters back the paper's headline measurements: the share of the
 //! workload served from caches (§6: ~80%), code-generation time (the paper
 //! notes LLVM keeps compilation "almost insignificant"; we report the
-//! Cranelift equivalent), and interpreted-fallback coverage.
+//! portable kernel compiler's equivalent), and interpreted-fallback
+//! coverage.
 //!
 //! When `JitOptions::trace` is set, the stats struct also carries the
 //! query's [`QueryTrace`] span buffer; the `span_*`/`kernel_*` hooks below
@@ -16,11 +17,11 @@ use vida_trace::QueryTrace;
 /// Statistics for one query execution.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecStats {
-    /// Time spent generating the pipeline (analysis + Cranelift).
+    /// Time spent generating the pipeline (analysis + kernel compilation).
     pub codegen: Duration,
     /// Time spent executing the generated pipeline.
     pub execution: Duration,
-    /// Number of Cranelift kernels compiled for this query.
+    /// Number of kernels compiled for this query.
     pub kernels_compiled: u32,
     /// Tuples produced by scans (before filtering).
     pub tuples_scanned: u64,
@@ -42,9 +43,10 @@ pub struct ExecStats {
     /// Of those, queries whose every scanned column came from caches — the
     /// numerator of the paper's §6 cache-served share.
     pub queries_served_from_cache: u32,
-    /// Worker threads used by the morsel-driven engine (1 = serial path).
+    /// Worker threads that drove the query's morsels (1 = every morsel
+    /// inline on the caller).
     pub threads: u32,
-    /// Morsels dispatched across all parallel phases of the query.
+    /// Morsels dispatched across all phases of the query.
     pub morsels: u64,
     /// Cache replicas written by the cost model's post-query sync (layout
     /// chosen by `CostModel::choose_layout`).
@@ -65,19 +67,19 @@ pub struct ExecStats {
     /// (plan shape outside the generated pipelines — unit-dataset constant
     /// queries and the like); summed across queries by [`ExecStats::accumulate`].
     pub whole_query_fallbacks: u32,
-    /// Inter-operator `Vec<Tuple>` buffers paid for during execution. The
-    /// streaming push engine fuses scan→select→unnest→probe→fold chains
-    /// end to end, so this is **0** on every pipeline-covered shape; only
-    /// the legacy materializing executor (`JitOptions::materialize_stages`,
-    /// the ablation baseline) pays one per operator stage. Join build sides
-    /// and band indexes are pipeline *breakers* — materialized per morsel
-    /// side by design (HyPer-style data-centric compilation) — and are not
-    /// counted here.
+    /// Tuple buffers built during execution beyond the ones the plan
+    /// expects. Every `Vec<Tuple>` the pipeline builds is counted where it
+    /// is built; join build sides are pipeline *breakers* — one buffer per
+    /// build-side morsel by design (HyPer-style data-centric compilation) —
+    /// and are subtracted. The streaming push engine fuses
+    /// scan→select→unnest→probe→fold chains end to end, so this is **0** on
+    /// every pipeline-covered shape; anything else means a stage
+    /// materialized its input.
     pub operator_materializations: u64,
     /// Operator stages fused into one streaming push loop for this query
     /// (scan = 1, +1 per unnest stage and join probe, +1 for the fold).
-    /// 0 when the query fell back wholesale or ran the legacy materializing
-    /// path. [`ExecStats::accumulate`] keeps the maximum across queries.
+    /// 0 when the query fell back wholesale. [`ExecStats::accumulate`] keeps
+    /// the maximum across queries.
     pub fused_stage_depth: u32,
     /// Scan leaves the cost-based plan optimizer moved away from their
     /// syntactic position (join reordering / build-side swaps). 0 when the

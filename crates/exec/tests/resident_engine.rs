@@ -13,8 +13,8 @@
 //!
 //! The metrics registry is process-global and other tests in this binary
 //! also run pool work, so every test that reads a metrics *delta* (or
-//! whose spawn-mode baseline would bump one) serializes on a file-local
-//! lock.
+//! whose per-call `run_jit` baseline starts pool threads and would bump
+//! one) serializes on a file-local lock.
 
 mod common;
 

@@ -3,10 +3,10 @@
 //! the per-stage tuple counts with `ExecStats`, and a Chrome-trace JSON
 //! round-trip through the repo's own JSON reader.
 //!
-//! Counts attach to whichever span level exists in *both* the serial and
-//! parallel paths (serial drive spans report the arithmetic morsel count
-//! of their range; parallel per-morsel worker spans report 1 each), so
-//! every aggregate asserted here must be identical at any worker count.
+//! Every query runs morsel-wise at any worker count (one worker runs the
+//! morsels inline), and counts attach to per-morsel worker spans (1 morsel
+//! each) or to coordinator spans that report the data-derived morsel grid,
+//! so every aggregate asserted here must be identical at any worker count.
 
 mod common;
 

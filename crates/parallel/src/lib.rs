@@ -10,14 +10,14 @@
 //!
 //! - [`MorselPlan`]: the morsel grid. Boundaries depend only on the data
 //!   (unit counts or raw byte spans), **never** on the worker count, so any
-//!   number of workers produces the same per-morsel partial results and the
-//!   deterministic merge yields one canonical answer. (Relative to a flat
-//!   serial fold, merging per-morsel partials reassociates float addition,
-//!   so float `sum`-style folds can differ from serial in the last ulp;
-//!   exact monoids match bit for bit.)
-//! - [`WorkerPool`]: `std::thread`-scoped workers pulling morsel indexes
-//!   from an atomic claim counter, each with private scratch state; results
-//!   are returned in morsel order regardless of completion order.
+//!   number of workers — one included — produces the same per-morsel
+//!   partial results and the deterministic merge yields one canonical
+//!   answer, float folds included.
+//! - [`WorkerPool`]: resident workers, spawned once and parked between
+//!   runs, pulling morsel indexes from an atomic claim counter, each with
+//!   private scratch state; results are returned in morsel order regardless
+//!   of completion order. A one-worker pool runs every morsel inline on the
+//!   caller, so serial execution is the one-worker case of the same loop.
 //! - [`dispatcher`]: aligned splitting of raw inputs — newline-aligned CSV
 //!   byte ranges and record-aligned JSON spans — via the byte-span hooks on
 //!   [`vida_formats::InputPlugin`].
