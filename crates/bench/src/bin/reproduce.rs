@@ -18,7 +18,7 @@ use vida_formats::plugin::{CsvPlugin, JsonPlugin};
 use vida_formats::MapMode;
 use vida_optimizer::CostModel;
 use vida_server::{read_response, QueryRequest, QueryServer, ServerConfig, SharedBuffer};
-use vida_trace::{chrome_trace_json, global_metrics, MetricsSnapshot, QueryTrace};
+use vida_trace::{chrome_trace_json, global_metrics, json, MetricsSnapshot, QueryTrace};
 use vida_workload::{
     generate, generate_append_replay, generate_join_heavy, generate_nested_heavy,
     generate_scan_heavy, WorkloadConfig,
@@ -95,7 +95,7 @@ OPTIONS:
                       trace-event JSON — open it in Perfetto or
                       chrome://tracing, one track per worker — plus print
                       EXPLAIN ANALYZE for the slowest query
-    --stats-json PATH write accumulated ExecStats, cache counters, the
+    --stats-json PATH write accumulated ExecStats, the cache block, the
                       engine metrics delta for this run, and per-query
                       timing aggregates as a JSON object
 
@@ -652,9 +652,8 @@ fn serve_smoke(
 }
 
 /// The --stats-json document: run parameters, accumulated `ExecStats`,
-/// cache counters, the engine-metrics delta for this run, and per-query
-/// timing aggregates. Hand-rolled JSON, parseable by `validate-json`.
-#[allow(clippy::too_many_arguments)]
+/// the cache block, the engine-metrics delta for this run, and per-query
+/// timing aggregates. Parseable by `validate-json`.
 fn stats_json(
     args: &Args,
     total: usize,
@@ -664,32 +663,27 @@ fn stats_json(
     cache: &CacheManager,
     metrics: &MetricsSnapshot,
 ) -> String {
-    let cs = cache.stats();
-    let probes = (cs.hits + cs.misses).max(1);
-    let min = timings_ns.iter().min().copied().unwrap_or(0);
-    let max = timings_ns.iter().max().copied().unwrap_or(0);
     let sum: u64 = timings_ns.iter().sum();
-    let mean = sum / timings_ns.len().max(1) as u64;
-    format!(
-        "{{\"figure\":\"cache-locality\",\"mix\":\"{}\",\"queries_run\":{total},\
-         \"threads\":{},\"mmap\":{},\"locality\":{:.3},\"budget_mb\":{},\
-         \"wall_ns\":{wall_ns},\
-         \"timings_ns\":{{\"count\":{},\"total\":{sum},\"min\":{min},\"max\":{max},\
-         \"mean\":{mean}}},\
-         \"exec\":{},\
-         \"cache\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{:.6},\"used_bytes\":{}}},\
-         \"metrics\":{}}}",
-        args.mix,
-        args.threads,
-        args.mmap,
-        args.locality,
-        args.budget_mb,
-        timings_ns.len(),
-        accum.to_json(),
-        cs.hits,
-        cs.misses,
-        cs.hits as f64 / probes as f64,
-        cache.used_bytes(),
-        metrics.to_json(),
-    )
+    json::object(|w| {
+        w.key("figure").string("cache-locality");
+        w.key("mix").string(&args.mix);
+        w.key("queries_run").int(total);
+        w.key("threads").int(args.threads);
+        w.key("mmap").bool(args.mmap);
+        w.key("locality").float(args.locality, 3);
+        w.key("budget_mb").int(args.budget_mb);
+        w.key("wall_ns").int(wall_ns);
+        w.key("timings_ns").object(|w| {
+            w.key("count").int(timings_ns.len());
+            w.key("total").int(sum);
+            w.key("min")
+                .int(timings_ns.iter().min().copied().unwrap_or(0));
+            w.key("max")
+                .int(timings_ns.iter().max().copied().unwrap_or(0));
+            w.key("mean").int(sum / timings_ns.len().max(1) as u64);
+        });
+        w.key("exec").raw(&accum.to_json());
+        w.key("cache").raw(&cache.to_json());
+        w.key("metrics").raw(&metrics.to_json());
+    })
 }

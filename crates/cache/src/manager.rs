@@ -18,6 +18,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use vida_trace::global_metrics;
+use vida_trace::json::{self, JsonWriter};
 use vida_types::sync::RwLock;
 use vida_types::Value;
 
@@ -730,6 +731,47 @@ impl CacheManager {
         }
         counts.sort_by_key(|(l, _)| l.name());
         counts
+    }
+
+    /// The cache block of the stats documents (the server's stats endpoint
+    /// and `reproduce --stats-json` embed it as is): probe and replica
+    /// counters, the hit rate, byte usage against the budget, replicas per
+    /// layout, and per-tenant budgets, usage and layouts.
+    pub fn to_json(&self) -> String {
+        let layouts = |w: &mut JsonWriter, counts: Vec<(Layout, usize)>| {
+            w.object(|w| {
+                for (layout, n) in counts {
+                    w.key(layout.name()).int(n);
+                }
+            })
+        };
+        let cs = self.stats();
+        json::object(|w| {
+            w.key("hits").int(cs.hits);
+            w.key("misses").int(cs.misses);
+            w.key("hit_rate").float(cs.hit_rate(), 6);
+            w.key("insertions").int(cs.insertions);
+            w.key("evictions").int(cs.evictions);
+            w.key("invalidations").int(cs.invalidations);
+            w.key("used_bytes").int(self.used_bytes());
+            w.key("budget_bytes").int(self.budget_bytes());
+            layouts(w.key("layouts"), self.layout_counts());
+            w.key("tenants").object(|w| {
+                for name in self.tenant_names() {
+                    let ts = self.tenant_stats(&name);
+                    w.key(&name).object(|w| {
+                        match ts.budget_bytes {
+                            Some(b) => w.key("budget_bytes").int(b),
+                            None => w.key("budget_bytes").null(),
+                        }
+                        w.key("used_bytes").int(ts.used_bytes);
+                        w.key("insertions").int(ts.insertions);
+                        w.key("evictions").int(ts.evictions);
+                        layouts(w.key("layouts"), self.layout_counts_for(&name));
+                    });
+                }
+            });
+        })
     }
 
     /// Which fields of a dataset are cached (any layout)?

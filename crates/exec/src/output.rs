@@ -4,8 +4,8 @@
 //! format an application expects." A query result — one [`Value`], typically
 //! a collection of records — can leave the engine as:
 //!
-//! - **parsed values** ([`OutputFormat::Values`]): the in-memory `Value`
-//!   rows, for callers staying inside the engine;
+//! - **parsed values** ([`to_values`]): the in-memory `Value` rows, for
+//!   callers staying inside the engine;
 //! - **text** ([`OutputFormat::Text`]): one printed row per line, the
 //!   paper's "CSV or JSON output" for interactive use;
 //! - **binary JSON** ([`OutputFormat::BinaryJson`]): the compact
@@ -20,7 +20,6 @@ use vida_types::{Result, Value, VidaError};
 /// The materialization formats an application can request for a result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OutputFormat {
-    Values,
     Text,
     BinaryJson,
     Csv,
@@ -31,7 +30,6 @@ impl OutputFormat {
     /// interface; use the typed helpers below to avoid re-parsing).
     pub fn write(&self, result: &Value) -> Result<Vec<u8>> {
         match self {
-            OutputFormat::Values => Ok(bson::to_bytes(result)),
             OutputFormat::Text => Ok(to_text(result).into_bytes()),
             OutputFormat::BinaryJson => Ok(to_binary_json(result)),
             OutputFormat::Csv => to_csv(result).map(String::into_bytes),
@@ -201,6 +199,5 @@ mod tests {
             to_text(&r).into_bytes()
         );
         assert!(OutputFormat::Csv.write(&Value::Int(1)).is_ok());
-        assert!(!OutputFormat::Values.write(&r).unwrap().is_empty());
     }
 }

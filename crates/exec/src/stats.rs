@@ -12,7 +12,7 @@
 //! `Option` check when tracing is off.
 
 use std::time::{Duration, Instant};
-use vida_trace::QueryTrace;
+use vida_trace::{json, QueryTrace};
 
 /// Statistics for one query execution.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -249,66 +249,46 @@ impl ExecStats {
         }
     }
 
-    /// Serialize every counter as a JSON object (hand-rolled — the
-    /// workspace has no serde; parseable by the repo's own JSON reader).
-    /// Durations are reported in nanoseconds. The trace buffer is not
-    /// included — export it via the Chrome-trace path instead.
+    /// Serialize every counter as a JSON object (parseable by the repo's
+    /// own JSON reader). Durations are reported in nanoseconds. The trace
+    /// buffer is not included — export it via the Chrome-trace path
+    /// instead.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push('{');
-        out.push_str(&format!("\"codegen_ns\":{},", self.codegen.as_nanos()));
-        out.push_str(&format!("\"execution_ns\":{},", self.execution.as_nanos()));
-        out.push_str(&format!("\"kernels_compiled\":{},", self.kernels_compiled));
-        out.push_str(&format!("\"tuples_scanned\":{},", self.tuples_scanned));
-        out.push_str(&format!("\"fallback_tuples\":{},", self.fallback_tuples));
-        out.push_str(&format!("\"cached_columns\":{},", self.cached_columns));
-        out.push_str(&format!("\"raw_columns\":{},", self.raw_columns));
-        out.push_str(&format!(
-            "\"served_from_cache\":{},",
-            self.served_from_cache
-        ));
-        out.push_str(&format!("\"queries\":{},", self.queries));
-        out.push_str(&format!(
-            "\"queries_served_from_cache\":{},",
-            self.queries_served_from_cache
-        ));
-        out.push_str(&format!("\"threads\":{},", self.threads));
-        out.push_str(&format!("\"morsels\":{},", self.morsels));
-        out.push_str(&format!("\"replicas_written\":{},", self.replicas_written));
-        out.push_str(&format!("\"replicas_dropped\":{},", self.replicas_dropped));
-        out.push_str(&format!("\"unnest_pipelines\":{},", self.unnest_pipelines));
-        out.push_str(&format!("\"theta_pipelines\":{},", self.theta_pipelines));
-        out.push_str(&format!("\"bushy_lowered\":{},", self.bushy_lowered));
-        out.push_str(&format!(
-            "\"whole_query_fallbacks\":{},",
-            self.whole_query_fallbacks
-        ));
-        out.push_str(&format!(
-            "\"operator_materializations\":{},",
-            self.operator_materializations
-        ));
-        out.push_str(&format!(
-            "\"fused_stage_depth\":{},",
-            self.fused_stage_depth
-        ));
-        out.push_str(&format!("\"joins_reordered\":{},", self.joins_reordered));
-        out.push_str(&format!(
-            "\"conjuncts_reordered\":{},",
-            self.conjuncts_reordered
-        ));
-        out.push_str(&format!("\"estimated_rows\":{},", self.estimated_rows));
-        out.push_str(&format!("\"actual_rows\":{},", self.actual_rows));
-        out.push_str(&format!(
-            "\"tail_rows_scanned\":{},",
-            self.tail_rows_scanned
-        ));
-        out.push_str(&format!("\"partials_reused\":{},", self.partials_reused));
-        out.push_str(&format!(
-            "\"cardinality_error\":{:.4}",
-            self.cardinality_error()
-        ));
-        out.push('}');
-        out
+        json::object(|w| {
+            w.key("codegen_ns").int(self.codegen.as_nanos());
+            w.key("execution_ns").int(self.execution.as_nanos());
+            w.key("kernels_compiled").int(self.kernels_compiled);
+            w.key("tuples_scanned").int(self.tuples_scanned);
+            w.key("fallback_tuples").int(self.fallback_tuples);
+            w.key("cached_columns").int(self.cached_columns);
+            w.key("raw_columns").int(self.raw_columns);
+            w.key("served_from_cache").bool(self.served_from_cache);
+            w.key("queries").int(self.queries);
+            w.key("queries_served_from_cache")
+                .int(self.queries_served_from_cache);
+            w.key("threads").int(self.threads);
+            w.key("morsels").int(self.morsels);
+            w.key("replicas_written").int(self.replicas_written);
+            w.key("replicas_dropped").int(self.replicas_dropped);
+            w.key("unnest_pipelines").int(self.unnest_pipelines);
+            w.key("theta_pipelines").int(self.theta_pipelines);
+            w.key("bushy_lowered").int(self.bushy_lowered);
+            w.key("whole_query_fallbacks")
+                .int(self.whole_query_fallbacks);
+            w.key("operator_materializations")
+                .int(self.operator_materializations);
+            w.key("fused_stage_depth").int(self.fused_stage_depth);
+            w.key("joins_reordered").int(self.joins_reordered);
+            w.key("conjuncts_reordered").int(self.conjuncts_reordered);
+            w.key("estimated_rows").int(self.estimated_rows);
+            w.key("estimated_rows_actual")
+                .int(self.estimated_rows_actual);
+            w.key("actual_rows").int(self.actual_rows);
+            w.key("tail_rows_scanned").int(self.tail_rows_scanned);
+            w.key("partials_reused").int(self.partials_reused);
+            w.key("cardinality_error")
+                .float(self.cardinality_error(), 4);
+        })
     }
 }
 
@@ -462,12 +442,14 @@ mod tests {
         let stats = ExecStats {
             tuples_scanned: 42,
             served_from_cache: true,
+            estimated_rows_actual: 17,
             ..ExecStats::default()
         };
         let json = stats.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"tuples_scanned\":42"));
         assert!(json.contains("\"served_from_cache\":true"));
+        assert!(json.contains("\"estimated_rows_actual\":17"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
@@ -490,5 +472,56 @@ mod tests {
         assert_eq!(trace.spans().len(), 1);
         assert_eq!(trace.spans()[0].tuples, 7);
         assert_eq!(coord.tuples_scanned, 7);
+    }
+
+    #[test]
+    fn stats_json_golden() {
+        let stats = ExecStats {
+            codegen: Duration::from_nanos(1_500),
+            execution: Duration::from_micros(20),
+            kernels_compiled: 3,
+            tuples_scanned: 4,
+            fallback_tuples: 5,
+            cached_columns: 6,
+            raw_columns: 7,
+            served_from_cache: true,
+            queries: 8,
+            queries_served_from_cache: 9,
+            threads: 10,
+            morsels: 11,
+            replicas_written: 12,
+            replicas_dropped: 13,
+            unnest_pipelines: 14,
+            theta_pipelines: 15,
+            bushy_lowered: 16,
+            whole_query_fallbacks: 17,
+            operator_materializations: 18,
+            fused_stage_depth: 19,
+            joins_reordered: 20,
+            conjuncts_reordered: 21,
+            estimated_rows: 90,
+            estimated_rows_actual: 120,
+            actual_rows: 130,
+            tail_rows_scanned: 22,
+            partials_reused: 23,
+            trace: None,
+        };
+        // `estimated_rows_actual` is the one key added since this document
+        // was pinned; every other byte must stay as it was.
+        let json = stats
+            .to_json()
+            .replace("\"estimated_rows_actual\":120,", "");
+        let golden = concat!(
+            r#"{"codegen_ns":1500,"execution_ns":20000,"kernels_compiled":3,"#,
+            r#""tuples_scanned":4,"fallback_tuples":5,"cached_columns":6,"raw_columns":7,"#,
+            r#""served_from_cache":true,"queries":8,"queries_served_from_cache":9,"#,
+            r#""threads":10,"morsels":11,"replicas_written":12,"replicas_dropped":13,"#,
+            r#""unnest_pipelines":14,"theta_pipelines":15,"bushy_lowered":16,"#,
+            r#""whole_query_fallbacks":17,"operator_materializations":18,"#,
+            r#""fused_stage_depth":19,"joins_reordered":20,"conjuncts_reordered":21,"#,
+            r#""estimated_rows":90,"actual_rows":130,"tail_rows_scanned":22,"#,
+            r#""partials_reused":23,"cardinality_error":0.2500}"#,
+        );
+        assert_eq!(json, golden);
     }
 }

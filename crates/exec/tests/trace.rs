@@ -1,7 +1,8 @@
 //! Trace-layer integration tests (PR 7): span nesting invariants, the
 //! thread-count invariance of aggregated trace counters, consistency of
-//! the per-stage tuple counts with `ExecStats`, and a Chrome-trace JSON
-//! round-trip through the repo's own JSON reader.
+//! the per-stage tuple counts with `ExecStats`, and JSON round-trips —
+//! the Chrome trace and hand-built values written through
+//! `vida_trace::json` — through the repo's own JSON reader.
 //!
 //! Every query runs morsel-wise at any worker count (one worker runs the
 //! morsels inline), and counts attach to per-morsel worker spans (1 morsel
@@ -15,6 +16,7 @@ use vida_algebra::{lower, rewrite, Plan};
 use vida_exec::{run_jit_with_stats, ExecStats, JitOptions, QueryTrace};
 use vida_formats::json::parse_json;
 use vida_lang::parse;
+use vida_trace::json::{self, JsonWriter};
 use vida_trace::{stage, Span};
 use vida_types::Value;
 
@@ -205,4 +207,87 @@ fn chrome_json_round_trips_through_the_json_reader() {
             "track {track} missing from the Chrome export"
         );
     }
+}
+
+/// Write `v` through the engine's JSON writer: records become objects,
+/// collections and arrays become arrays, floats keep three decimals.
+fn write_value(w: &mut JsonWriter, v: &Value) {
+    match v {
+        Value::Null => w.null(),
+        Value::Bool(b) => w.bool(*b),
+        Value::Int(i) => w.int(*i),
+        Value::Float(f) => w.float(*f, 3),
+        Value::Str(s) => w.string(s),
+        Value::Record(fields) => w.object(|w| {
+            for (name, v) in fields {
+                write_value(w.key(name), v);
+            }
+        }),
+        Value::Collection(_, items) | Value::Array { data: items, .. } => w.array(|w| {
+            for v in items {
+                write_value(w, v);
+            }
+        }),
+    }
+}
+
+/// Write a record through the writer and read it back with `parse_json`.
+fn round_trip(v: &Value) -> Value {
+    let Value::Record(fields) = v else {
+        panic!("the writer's documents are objects");
+    };
+    let text = json::object(|w| {
+        for (name, v) in fields {
+            write_value(w.key(name), v);
+        }
+    });
+    let (back, end) = parse_json(text.as_bytes(), 0, "t").expect("valid JSON");
+    assert_eq!(end, text.len(), "trailing bytes after {text}");
+    back
+}
+
+#[test]
+fn astral_strings_round_trip_through_writer() {
+    let v = Value::record([
+        ("emoji", Value::str("hi \u{1F600}\u{2603}")),
+        (
+            "\u{1D11E} clef",
+            Value::list(vec![Value::str("\u{10FFFF}")]),
+        ),
+    ]);
+    assert_eq!(round_trip(&v), v);
+}
+
+#[test]
+fn json_round_trip() {
+    let v = Value::record([
+        ("id", Value::Int(-1)),
+        ("name", Value::str("a \"b\" c:\\d\\")),
+        ("ctl", Value::str("\n\r\t\u{0}\u{1}\u{1f} end")),
+        ("k\"ey\n", Value::Bool(true)),
+        (
+            "xs",
+            Value::list(vec![
+                Value::Float(1.5),
+                Value::Float(-0.25),
+                Value::Float(1024.0),
+                Value::Null,
+                Value::Bool(false),
+            ]),
+        ),
+        (
+            "nested",
+            Value::record([
+                (
+                    "grid",
+                    Value::list(vec![
+                        Value::list(vec![Value::Int(1), Value::Int(2)]),
+                        Value::list(vec![]),
+                    ]),
+                ),
+                ("empty", Value::record(Vec::<(String, Value)>::new())),
+            ]),
+        ),
+    ]);
+    assert_eq!(round_trip(&v), v);
 }

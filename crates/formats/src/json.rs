@@ -661,76 +661,6 @@ pub fn parse_json(data: &[u8], i: usize, source: &str) -> Result<(Value, usize)>
     }
 }
 
-/// Serialize a [`Value`] as JSON text (output plugin for Figure 4 layout
-/// (a) and the docstore loader).
-pub fn to_json(v: &Value) -> String {
-    let mut out = String::new();
-    write_json(v, &mut out);
-    out
-}
-
-fn write_json(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(f) => {
-            if f.fract() == 0.0 && f.is_finite() && f.abs() < 1e15 {
-                out.push_str(&format!("{f:.1}"));
-            } else {
-                out.push_str(&f.to_string());
-            }
-        }
-        Value::Str(s) => {
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    '\r' => out.push_str("\\r"),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        }
-        Value::Record(fields) => {
-            out.push('{');
-            for (i, (n, v)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(n);
-                out.push_str("\":");
-                write_json(v, out);
-            }
-            out.push('}');
-        }
-        Value::Collection(_, items) => {
-            out.push('[');
-            for (i, v) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_json(v, out);
-            }
-            out.push(']');
-        }
-        Value::Array { data, .. } => {
-            out.push('[');
-            for (i, v) in data.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_json(v, out);
-            }
-            out.push(']');
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -934,29 +864,6 @@ mod tests {
         // Two high surrogates in a row: each is lone.
         let v = parse_json(b"\"\\ud83d\\ud83d\"", 0, "t").unwrap().0;
         assert_eq!(v, Value::str("\u{fffd}\u{fffd}"));
-    }
-
-    #[test]
-    fn astral_strings_round_trip_through_writer() {
-        let v = Value::record([("emoji", Value::str("hi \u{1F600}\u{2603}"))]);
-        let text = to_json(&v);
-        let (back, _) = parse_json(text.as_bytes(), 0, "t").unwrap();
-        assert_eq!(back, v);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let v = Value::record([
-            ("id", Value::Int(1)),
-            ("name", Value::str("a \"b\"")),
-            (
-                "xs",
-                Value::list(vec![Value::Float(1.5), Value::Null, Value::Bool(false)]),
-            ),
-        ]);
-        let text = to_json(&v);
-        let (back, _) = parse_json(text.as_bytes(), 0, "t").unwrap();
-        assert_eq!(back, v);
     }
 
     #[test]

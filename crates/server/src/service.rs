@@ -32,7 +32,7 @@ use std::thread::JoinHandle;
 use vida_algebra::{lower, rewrite};
 use vida_exec::{output, Engine, OutputFormat};
 use vida_lang::parse;
-use vida_trace::global_metrics;
+use vida_trace::{global_metrics, json};
 use vida_types::sync::Mutex;
 use vida_types::{Result, Value};
 
@@ -275,70 +275,28 @@ impl QueryServer {
     }
 
     /// The stats endpoint: server admission counters, accumulated engine
-    /// [`ExecStats`](vida_exec::ExecStats), cache/tenant/layout counters,
-    /// and the global metrics registry, as one JSON object.
+    /// [`ExecStats`](vida_exec::ExecStats), the cache block
+    /// ([`CacheManager::to_json`](vida_cache::CacheManager::to_json), or
+    /// `null` without a cache), and the global metrics registry, as one
+    /// JSON object.
     pub fn stats_json(&self) -> String {
         let s = self.stats();
-        let mut out = String::with_capacity(1024);
-        out.push('{');
-        out.push_str(&format!(
-            "\"server\":{{\"admitted\":{},\"rejected\":{},\"completed\":{},\"failed\":{},\
-             \"in_flight\":{},\"peak_in_flight\":{}}},",
-            s.admitted, s.rejected, s.completed, s.failed, s.in_flight, s.peak_in_flight
-        ));
-        out.push_str(&format!(
-            "\"engine\":{},",
-            self.shared.engine.stats().to_json()
-        ));
-        match self.shared.engine.cache() {
-            Some(cache) => {
-                let cs = cache.stats();
-                out.push_str(&format!(
-                    "\"cache\":{{\"hits\":{},\"misses\":{},\"insertions\":{},\"evictions\":{},\
-                     \"invalidations\":{},\"used_bytes\":{},\"budget_bytes\":{},",
-                    cs.hits,
-                    cs.misses,
-                    cs.insertions,
-                    cs.evictions,
-                    cs.invalidations,
-                    cache.used_bytes(),
-                    cache.budget_bytes()
-                ));
-                out.push_str(&format!(
-                    "\"layouts\":{},",
-                    layouts_json(&cache.layout_counts())
-                ));
-                out.push_str("\"tenants\":{");
-                for (i, name) in cache.tenant_names().iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let ts = cache.tenant_stats(name);
-                    let budget = match ts.budget_bytes {
-                        Some(b) => b.to_string(),
-                        None => "null".to_string(),
-                    };
-                    out.push_str(&format!(
-                        "\"{}\":{{\"budget_bytes\":{},\"used_bytes\":{},\"insertions\":{},\
-                         \"evictions\":{},\"layouts\":{}}}",
-                        json_escape(name),
-                        budget,
-                        ts.used_bytes,
-                        ts.insertions,
-                        ts.evictions,
-                        layouts_json(&cache.layout_counts_for(name))
-                    ));
-                }
-                out.push_str("}},");
+        json::object(|w| {
+            w.key("server").object(|w| {
+                w.key("admitted").int(s.admitted);
+                w.key("rejected").int(s.rejected);
+                w.key("completed").int(s.completed);
+                w.key("failed").int(s.failed);
+                w.key("in_flight").int(s.in_flight);
+                w.key("peak_in_flight").int(s.peak_in_flight);
+            });
+            w.key("engine").raw(&self.shared.engine.stats().to_json());
+            match self.shared.engine.cache() {
+                Some(cache) => w.key("cache").raw(&cache.to_json()),
+                None => w.key("cache").null(),
             }
-            None => out.push_str("\"cache\":null,"),
-        }
-        out.push_str(&format!(
-            "\"metrics\":{}",
-            global_metrics().snapshot().to_json()
-        ));
-        out.push('}');
-        out
+            w.key("metrics").raw(&global_metrics().snapshot().to_json());
+        })
     }
 }
 
@@ -355,22 +313,6 @@ impl std::fmt::Debug for QueryServer {
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
-}
-
-fn layouts_json(counts: &[(vida_cache::Layout, usize)]) -> String {
-    let mut out = String::from("{");
-    for (i, (layout, n)) in counts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{n}", layout.name()));
-    }
-    out.push('}');
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn executor_loop(shared: &Shared) {
@@ -450,7 +392,7 @@ fn encode_rows(result: &Value, format: OutputFormat) -> Result<Vec<Vec<u8>>> {
             .iter()
             .map(|row| row.to_string().into_bytes())
             .collect()),
-        OutputFormat::Values | OutputFormat::BinaryJson => Ok(output::to_values(result)
+        OutputFormat::BinaryJson => Ok(output::to_values(result)
             .iter()
             .map(output::to_binary_json)
             .collect()),
@@ -738,10 +680,10 @@ mod tests {
         assert!(json.contains("\"metrics\":"));
     }
 
-    #[test]
-    fn stats_json_reports_cache_and_tenants_when_attached() {
+    /// A server over an empty engine whose cache gives `tenant` a budget.
+    fn server_with_tenant(tenant: &str, budget: usize) -> QueryServer {
         let cache = Arc::new(vida_cache::CacheManager::new(1 << 20));
-        cache.set_tenant_budget("acme", 1 << 16);
+        cache.set_tenant_budget(tenant, budget);
         let cat = MemoryCatalog::new();
         cat.register_records("T", Schema::from_pairs([("x", Type::Int)]), &[])
             .unwrap();
@@ -750,9 +692,23 @@ mod tests {
             ..Default::default()
         };
         let engine = Arc::new(Engine::new(Arc::new(cat), opts));
-        let server = QueryServer::start(engine, ServerConfig::default());
-        let json = server.stats_json();
-        assert!(json.contains("\"cache\":{"));
+        QueryServer::start(engine, ServerConfig::default())
+    }
+
+    #[test]
+    fn stats_json_reports_cache_and_tenants_when_attached() {
+        let json = server_with_tenant("acme", 1 << 16).stats_json();
+        assert!(json.contains("\"cache\":{\"hits\":0,\"misses\":0,\"hit_rate\":0.000000,"));
         assert!(json.contains("\"acme\":{\"budget_bytes\":65536"));
+    }
+
+    #[test]
+    fn stats_json_escapes_tenant_names() {
+        let json = server_with_tenant("a\"b\n\u{1}", 1 << 10).stats_json();
+        assert!(
+            json.bytes().all(|b| b >= 0x20),
+            "raw control byte in {json}"
+        );
+        assert!(json.contains(r#""a\"b\n\u0001":{"budget_bytes":1024"#));
     }
 }

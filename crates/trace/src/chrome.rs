@@ -1,27 +1,11 @@
-//! Chrome trace-event JSON export, hand-rolled (the workspace has no
-//! serde). The output loads in Perfetto and `chrome://tracing`: complete
-//! (`"ph":"X"`) events with microsecond timestamps, one `tid` track per
-//! worker (tid 0 = the coordinator), and metadata events naming each
-//! track. Tuple/morsel counts ride in each event's `args`.
+//! Chrome trace-event JSON export. The output loads in Perfetto and
+//! `chrome://tracing`: complete (`"ph":"X"`) events with microsecond
+//! timestamps, one `tid` track per worker (tid 0 = the coordinator), and
+//! metadata events naming each track. Tuple/morsel counts ride in each
+//! event's `args`.
 
+use crate::json::{self, JsonWriter};
 use crate::span::QueryTrace;
-
-/// Escape a string for a JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Export one or more query traces on a shared timeline. Each entry is
 /// `(offset_ns, trace)`: the trace's epoch expressed as nanoseconds from
@@ -29,67 +13,67 @@ pub fn escape_json(s: &str) -> String {
 /// when exporting a whole workload).
 pub fn chrome_trace_json(traces: &[(u64, &QueryTrace)]) -> String {
     let micros = |ns: u64| ns as f64 / 1000.0;
-    let mut events: Vec<String> = Vec::new();
-    let mut tracks: Vec<u32> = Vec::new();
-    for (q, (offset_ns, trace)) in traces.iter().enumerate() {
-        for span in trace.spans() {
-            if !tracks.contains(&span.worker) {
-                tracks.push(span.worker);
+    json::object(|w| {
+        w.key("traceEvents").array(|w| {
+            let mut tracks: Vec<u32> = Vec::new();
+            for (q, (offset_ns, trace)) in traces.iter().enumerate() {
+                for span in trace.spans() {
+                    if !tracks.contains(&span.worker) {
+                        tracks.push(span.worker);
+                    }
+                    w.object(|w| {
+                        w.key("name").string(span.stage);
+                        w.key("cat").string("query");
+                        w.key("ph").string("X");
+                        w.key("ts").float(micros(offset_ns + span.start_ns), 3);
+                        w.key("dur").float(micros(span.dur_ns), 3);
+                        w.key("pid").int(0);
+                        w.key("tid").int(span.worker);
+                        w.key("args").object(|w| {
+                            w.key("query").int(q);
+                            w.key("depth").int(span.depth);
+                            w.key("tuples").int(span.tuples);
+                            w.key("morsels").int(span.morsels);
+                        });
+                    });
+                }
             }
-            events.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"query\",\"ph\":\"X\",\"ts\":{:.3},\
-                 \"dur\":{:.3},\"pid\":0,\"tid\":{},\"args\":{{\"query\":{},\
-                 \"depth\":{},\"tuples\":{},\"morsels\":{}}}}}",
-                escape_json(span.stage),
-                micros(offset_ns + span.start_ns),
-                micros(span.dur_ns),
-                span.worker,
-                q,
-                span.depth,
-                span.tuples,
-                span.morsels,
-            ));
+            tracks.sort_unstable();
+            // Metadata events give each tid a human name and pin the track order.
+            for (sort, &tid) in tracks.iter().enumerate() {
+                let name = if tid == 0 {
+                    "coordinator".to_string()
+                } else {
+                    format!("worker {tid}")
+                };
+                metadata(w, "thread_name", Some(tid), |w| w.key("name").string(&name));
+                metadata(w, "thread_sort_index", Some(tid), |w| {
+                    w.key("sort_index").int(sort)
+                });
+            }
+            metadata(w, "process_name", None, |w| w.key("name").string("vida"));
+        });
+        w.key("displayTimeUnit").string("ms");
+    })
+}
+
+/// A metadata (`"ph":"M"`) event whose `args` members `args` writes.
+fn metadata(w: &mut JsonWriter, name: &str, tid: Option<u32>, args: impl FnOnce(&mut JsonWriter)) {
+    w.object(|w| {
+        w.key("name").string(name);
+        w.key("ph").string("M");
+        w.key("pid").int(0);
+        if let Some(tid) = tid {
+            w.key("tid").int(tid);
         }
-    }
-    tracks.sort_unstable();
-    // Metadata events give each tid a human name and pin the track order.
-    for (sort, &tid) in tracks.iter().enumerate() {
-        let name = if tid == 0 {
-            "coordinator".to_string()
-        } else {
-            format!("worker {tid}")
-        };
-        events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape_json(&name)
-        ));
-        events.push(format!(
-            "{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\
-             \"args\":{{\"sort_index\":{sort}}}}}"
-        ));
-    }
-    events.push(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\
-         \"args\":{\"name\":\"vida\"}}"
-            .to_string(),
-    );
-    format!(
-        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}",
-        events.join(",")
-    )
+        w.key("args").object(args);
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::span::stage;
-
-    #[test]
-    fn escape_handles_quotes_and_control_chars() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn export_emits_one_track_per_worker() {

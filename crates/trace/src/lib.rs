@@ -17,13 +17,15 @@
 //! * consumers — [`QueryTrace::explain_analyze`] renders the stage tree
 //!   with wall time, tuples, and morsels; [`chrome`] exports Chrome
 //!   trace-event JSON loadable in Perfetto / `chrome://tracing`, one track
-//!   per worker.
+//!   per worker. The Chrome export and every stats document write
+//!   through [`json`], the workspace's one JSON writer.
 //!
 //! Per-query tracing is opt-in (the engine gates it behind
 //! `JitOptions::trace`); when disabled every hook is an `Option` check and
 //! the cost is indistinguishable from baseline.
 
 pub mod chrome;
+pub mod json;
 pub mod metrics;
 pub mod span;
 

@@ -5,8 +5,9 @@
 //! worker's whole run), never per tuple, so the registry costs nothing
 //! measurable on the hot path. Consumers take a [`MetricsSnapshot`] — a
 //! plain-value copy that can be diffed across a workload and serialized as
-//! JSON by hand (no serde in this workspace).
+//! JSON through [`crate::json`].
 
+use crate::json::{self, JsonWriter};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -109,27 +110,6 @@ impl HistogramSnapshot {
             buckets: std::array::from_fn(|i| self.buckets[i].saturating_sub(earlier.buckets[i])),
             sum: self.sum.saturating_sub(earlier.sum),
         }
-    }
-
-    /// Append this histogram as a JSON object: total count, sum, and the
-    /// non-empty buckets as `[bit_length, count]` pairs.
-    pub fn write_json(&self, out: &mut String) {
-        out.push_str(&format!(
-            "{{\"count\":{},\"sum\":{},\"buckets\":[",
-            self.count(),
-            self.sum
-        ));
-        let mut first = true;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            if n > 0 {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!("[{b},{n}]"));
-            }
-        }
-        out.push_str("]}");
     }
 }
 
@@ -260,49 +240,41 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Serialize as a JSON object (hand-rolled; parseable by the repo's own
-    /// JSON reader).
+    /// Serialize as a JSON object. Each histogram is its total count, sum,
+    /// and the non-empty buckets as `[bit_length, count]` pairs.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push('{');
-        out.push_str(&format!("\"cache_hits\":{},", self.cache_hits));
-        out.push_str(&format!("\"cache_misses\":{},", self.cache_misses));
-        out.push_str(&format!("\"cache_insertions\":{},", self.cache_insertions));
-        out.push_str(&format!("\"cache_evictions\":{},", self.cache_evictions));
-        out.push_str(&format!(
-            "\"cache_invalidations\":{},",
-            self.cache_invalidations
-        ));
-        out.push_str("\"cache_replica_bytes\":");
-        self.cache_replica_bytes.write_json(&mut out);
-        out.push(',');
-        out.push_str(&format!("\"worker_busy_ns\":{},", self.worker_busy_ns));
-        out.push_str(&format!("\"worker_idle_ns\":{},", self.worker_idle_ns));
-        out.push_str(&format!("\"pool_runs\":{},", self.pool_runs));
-        out.push_str(&format!(
-            "\"pool_thread_spawns\":{},",
-            self.pool_thread_spawns
-        ));
-        out.push_str(&format!(
-            "\"pool_attached_runs\":{},",
-            self.pool_attached_runs
-        ));
-        out.push_str(&format!(
-            "\"pool_multiplexed_claims\":{},",
-            self.pool_multiplexed_claims
-        ));
-        out.push_str("\"worker_morsel_claims\":");
-        self.worker_morsel_claims.write_json(&mut out);
-        out.push(',');
-        out.push_str("\"morsel_claim_spread\":");
-        self.morsel_claim_spread.write_json(&mut out);
-        out.push(',');
-        out.push_str(&format!(
-            "\"kernel_invocations\":{}",
-            self.kernel_invocations
-        ));
-        out.push('}');
-        out
+        let histogram = |w: &mut JsonWriter, h: &HistogramSnapshot| {
+            w.object(|w| {
+                w.key("count").int(h.count());
+                w.key("sum").int(h.sum);
+                w.key("buckets").array(|w| {
+                    for (b, &n) in h.buckets.iter().enumerate().filter(|(_, &n)| n > 0) {
+                        w.array(|w| {
+                            w.int(b);
+                            w.int(n);
+                        });
+                    }
+                });
+            })
+        };
+        json::object(|w| {
+            w.key("cache_hits").int(self.cache_hits);
+            w.key("cache_misses").int(self.cache_misses);
+            w.key("cache_insertions").int(self.cache_insertions);
+            w.key("cache_evictions").int(self.cache_evictions);
+            w.key("cache_invalidations").int(self.cache_invalidations);
+            histogram(w.key("cache_replica_bytes"), &self.cache_replica_bytes);
+            w.key("worker_busy_ns").int(self.worker_busy_ns);
+            w.key("worker_idle_ns").int(self.worker_idle_ns);
+            w.key("pool_runs").int(self.pool_runs);
+            w.key("pool_thread_spawns").int(self.pool_thread_spawns);
+            w.key("pool_attached_runs").int(self.pool_attached_runs);
+            w.key("pool_multiplexed_claims")
+                .int(self.pool_multiplexed_claims);
+            histogram(w.key("worker_morsel_claims"), &self.worker_morsel_claims);
+            histogram(w.key("morsel_claim_spread"), &self.morsel_claim_spread);
+            w.key("kernel_invocations").int(self.kernel_invocations);
+        })
     }
 }
 
@@ -379,5 +351,43 @@ mod tests {
         global_metrics().pool_runs.inc();
         let b = global_metrics().snapshot();
         assert!(b.pool_runs > a.pool_runs);
+    }
+
+    #[test]
+    fn snapshot_json_golden() {
+        let reg = MetricsRegistry::new();
+        let counters = [
+            &reg.cache_hits,
+            &reg.cache_misses,
+            &reg.cache_insertions,
+            &reg.cache_evictions,
+            &reg.cache_invalidations,
+            &reg.worker_busy_ns,
+            &reg.worker_idle_ns,
+            &reg.pool_runs,
+            &reg.pool_thread_spawns,
+            &reg.pool_attached_runs,
+            &reg.pool_multiplexed_claims,
+            &reg.kernel_invocations,
+        ];
+        for (i, c) in counters.into_iter().enumerate() {
+            c.add(i as u64 + 1);
+        }
+        for v in [0, 100, 4096] {
+            reg.cache_replica_bytes.record(v);
+        }
+        reg.worker_morsel_claims.record(3);
+        reg.worker_morsel_claims.record(3);
+        let golden = concat!(
+            r#"{"cache_hits":1,"cache_misses":2,"cache_insertions":3,"cache_evictions":4,"#,
+            r#""cache_invalidations":5,"#,
+            r#""cache_replica_bytes":{"count":3,"sum":4196,"buckets":[[0,1],[7,1],[13,1]]},"#,
+            r#""worker_busy_ns":6,"worker_idle_ns":7,"pool_runs":8,"pool_thread_spawns":9,"#,
+            r#""pool_attached_runs":10,"pool_multiplexed_claims":11,"#,
+            r#""worker_morsel_claims":{"count":2,"sum":6,"buckets":[[2,2]]},"#,
+            r#""morsel_claim_spread":{"count":0,"sum":0,"buckets":[]},"#,
+            r#""kernel_invocations":12}"#,
+        );
+        assert_eq!(reg.snapshot().to_json(), golden);
     }
 }
