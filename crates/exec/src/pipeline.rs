@@ -8,9 +8,12 @@
 //!   generated scans read only those columns — no "database page" of unused
 //!   attributes is ever built;
 //! - **register frames**: each touched scalar attribute gets one 64-bit slot
-//!   in a query-wide [`FrameLayout`]; columns are pre-encoded to their slot
-//!   representation at pipeline-generation time, so per-tuple work in the
-//!   hot loop is a flat `i64` copy plus kernel calls;
+//!   in a query-wide [`FrameLayout`]; numeric and boolean slots encode
+//!   each cell straight off the shared column (on a warm query, the cache
+//!   replica itself) as the scan reaches it, and `Str` slots are interned
+//!   once at pipeline-generation time, so per-tuple work in the hot loop is
+//!   slot encoding into one reused frame plus kernel calls — no per-row
+//!   allocation;
 //! - **compiled kernels**: filter predicates, join keys, and head
 //!   expressions inside the compilable subset become fused
 //!   [`CompiledKernel`]s (type dispatch resolved at generation time);
@@ -84,8 +87,8 @@ use vida_algebra::lower::{left_deepen, split_conjuncts, UNIT_DATASET};
 use vida_algebra::Plan;
 use vida_cache::{bson, CacheKey, CacheManager, CachedData, FoldPartial, Layout};
 use vida_formats::Revalidation;
-use vida_jit::compile::path_of;
-use vida_jit::frame::{decode_output, StringInterner};
+use vida_jit::compile::{path_of, total_key};
+use vida_jit::frame::decode_output;
 use vida_jit::{CompiledKernel, FrameLayout, JitCompiler, SelectKernel, SharedInterner, SlotType};
 use vida_lang::{eval, BinOp, Bindings, Expr, Qualifier};
 use vida_optimizer::{CostModel, FieldObservation};
@@ -382,9 +385,16 @@ struct Source {
     nrows: usize,
     /// Fields materialized for binding-record reconstruction, schema order.
     env_fields: Vec<(String, Arc<Vec<Value>>)>,
-    /// `(global slot, encoded column)`; `None` cells mark tuples that must
-    /// take the interpreted fallback (nulls, type mismatches).
-    slot_cols: Vec<(usize, Vec<Option<i64>>)>,
+    /// `(global slot, slot type, column)` for numeric and boolean slots:
+    /// the hot loop encodes each cell straight off the shared column (the
+    /// cache replica itself on a warm query), so binding a source copies
+    /// nothing. A cell that does not encode (null, type mismatch) sends
+    /// its tuple down the interpreted fallback.
+    scalar_cols: Vec<(usize, SlotType, Arc<Vec<Value>>)>,
+    /// `(global slot, interned column)` for `Str` slots, interned once at
+    /// build time — runtime interning would contend on the shared
+    /// interner. `None` cells mark fallback tuples, as above.
+    str_cols: Vec<(usize, Vec<Option<i64>>)>,
     /// All global slot indexes owned by this source (for frame merging).
     slots: Vec<usize>,
     /// Selection steps applied as tuples leave the scan.
@@ -477,11 +487,38 @@ struct UnnestStage {
 /// One in-flight tuple: its register frame, whether every slot encoded, and
 /// the provenance used to rebuild bindings on the fallback path — `(source,
 /// row)` pairs for scans plus `(unnest stage, element)` values for unnests.
+///
+/// Tuples are scratch buffers, never per-row allocations: the scan, each
+/// join probe, and each unnest stage own one tuple per morsel and rewrite
+/// it in place for every row, pair, or element they emit. Downstream
+/// stages receive it by reference (see [`TupleSink`]) and copy what they
+/// need into their own scratch tuple.
 struct Tuple {
     frame: Vec<i64>,
     valid: bool,
     rows: Vec<(usize, usize)>,
     unnest_vals: Vec<(usize, Value)>,
+}
+
+impl Tuple {
+    /// An empty scratch tuple over a `width`-slot frame.
+    fn scratch(width: usize) -> Tuple {
+        Tuple {
+            frame: vec![0; width],
+            valid: true,
+            rows: Vec::new(),
+            unnest_vals: Vec::new(),
+        }
+    }
+
+    /// Make this scratch tuple a copy of `t` (its frame and provenance),
+    /// reusing the buffers it already holds.
+    fn copy_from(&mut self, t: &Tuple) {
+        self.frame.copy_from_slice(&t.frame);
+        self.valid = t.valid;
+        self.rows.clone_from(&t.rows);
+        self.unnest_vals.clone_from(&t.unnest_vals);
+    }
 }
 
 struct Pipeline {
@@ -733,22 +770,9 @@ fn collect_paths(e: &Expr, out: &mut Vec<String>) {
     }
 }
 
-/// Encode one value into its slot representation (the runtime half of
-/// `FrameBuilder::fill_slot`, applied column-wise at generation time).
-fn encode_cell(ty: SlotType, v: &Value, interner: &mut StringInterner) -> Option<i64> {
-    match (ty, v) {
-        (SlotType::Int, Value::Int(x)) => Some(*x),
-        (SlotType::Float, Value::Float(x)) => Some(x.to_bits() as i64),
-        (SlotType::Float, Value::Int(x)) => Some((*x as f64).to_bits() as i64),
-        (SlotType::Bool, Value::Bool(b)) => Some(*b as i64),
-        (SlotType::Str, Value::Str(s)) => Some(interner.intern(s)),
-        _ => None,
-    }
-}
-
-/// Encode one unnest element (or element field) into a non-string slot —
-/// the interner-free half of [`encode_elem`], shared by every non-`Str`
-/// element type.
+/// Encode one value into a non-string slot — the interner-free half of
+/// [`encode_elem`]. The scan encodes its numeric and boolean cells through
+/// here straight off the source column, as do unnest elements.
 fn encode_scalar(ty: SlotType, v: &Value) -> Option<i64> {
     match (ty, v) {
         (SlotType::Int, Value::Int(x)) => Some(*x),
@@ -1041,11 +1065,24 @@ impl<'a> PipelineBuilder<'a> {
                 specs[0].nrows,
             )
         });
-        let mut sources: Vec<Source> = Vec::with_capacity(specs.len());
-        for spec in specs {
+        let mut columns: Vec<Vec<Arc<Vec<Value>>>> = Vec::with_capacity(specs.len());
+        for spec in &specs {
             self.stats.tuples_scanned += spec.nrows as u64;
-            let columns =
-                self.materialize_columns(&spec.dataset, &spec.plugin, &spec.touched, spec.nrows)?;
+            columns.push(self.materialize_columns(
+                &spec.dataset,
+                &spec.plugin,
+                &spec.touched,
+                spec.nrows,
+            )?);
+        }
+
+        // Source assembly: bind slots to the materialized columns, intern
+        // `Str` columns, and materialize free datasets. Scalar slots share
+        // the columns by pointer, so on a warm query this is O(touched
+        // columns), not O(rows) — only `Str` columns still pay a pass.
+        self.stats.span_begin(stage::BIND);
+        let mut sources: Vec<Source> = Vec::with_capacity(specs.len());
+        for (spec, columns) in specs.into_iter().zip(columns) {
             let schema = spec.plugin.schema();
             let env_fields = spec
                 .touched
@@ -1053,26 +1090,31 @@ impl<'a> PipelineBuilder<'a> {
                 .zip(&columns)
                 .map(|(&c, data)| (schema.fields()[c].name.clone(), Arc::clone(data)))
                 .collect();
-            let slot_cols = interner.with_mut(|int| {
-                spec.slot_meta
-                    .iter()
-                    .map(|&(ti, slot, ty)| {
-                        (
-                            slot,
-                            columns[ti]
-                                .iter()
-                                .map(|v| encode_cell(ty, v, int))
-                                .collect::<Vec<_>>(),
-                        )
-                    })
-                    .collect()
-            });
+            let mut scalar_cols = Vec::new();
+            let mut str_cols = Vec::new();
+            for &(ti, slot, ty) in &spec.slot_meta {
+                if ty != SlotType::Str {
+                    scalar_cols.push((slot, ty, Arc::clone(&columns[ti])));
+                    continue;
+                }
+                let col = interner.with_mut(|int| {
+                    columns[ti]
+                        .iter()
+                        .map(|v| match v {
+                            Value::Str(s) => Some(int.intern(s)),
+                            _ => None,
+                        })
+                        .collect()
+                });
+                str_cols.push((slot, col));
+            }
             let slots = spec.slot_meta.iter().map(|&(_, s, _)| s).collect();
             sources.push(Source {
                 binding: spec.binding,
                 nrows: spec.nrows,
                 env_fields,
-                slot_cols,
+                scalar_cols,
+                str_cols,
                 slots,
                 selects: Vec::new(),
                 fused_selects: None,
@@ -1109,16 +1151,17 @@ impl<'a> PipelineBuilder<'a> {
                 }
             });
         }
+        // Base environment: datasets referenced by nested comprehensions
+        // (shared helper with the Volcano engine).
+        let base_env = crate::volcano::materialize_free_datasets(&exprs, &bindings, self.catalog)?;
+        self.stats.span_end();
+
         self.stats.span_begin(stage::CODEGEN);
         self.attach_selects(&mut sources, &shape, &layout, &interner)?;
         self.observe_select_stats(&sources, &shape);
 
         let head_plan = self.plan_head(*monoid, head, &layout, &interner);
         self.stats.span_end();
-
-        // Base environment: datasets referenced by nested comprehensions
-        // (shared helper with the Volcano engine).
-        let base_env = crate::volcano::materialize_free_datasets(&exprs, &bindings, self.catalog)?;
 
         let unnests: Vec<UnnestStage> = unnests
             .into_iter()
@@ -1603,9 +1646,13 @@ impl<'a> PipelineBuilder<'a> {
         for (i, &col) in touched.iter().enumerate() {
             let field = &schema.fields()[col].name;
             model.observe(dataset, field, observe_column(plugin, col, &columns[i]));
-            // Same hook feeds the plan optimizer's distinct sketch (inserts
-            // are idempotent, so re-scans don't drift the estimate).
-            model.sketch().observe_values(dataset, field, &columns[i]);
+            // Same hook feeds the plan optimizer's distinct sketch. Inserts
+            // are idempotent, so a column the sketch already folded in at
+            // this fingerprint is skipped — no O(rows) re-hash on a warm
+            // query.
+            model
+                .sketch()
+                .observe_column(dataset, field, fingerprint, &columns[i]);
             let pressure = cache_pressure(cache);
             let mut chosen = model.choose_layout(dataset, field, pressure);
             let mut key = CacheKey::new(dataset, field.clone(), chosen);
@@ -2257,9 +2304,12 @@ impl Pipeline {
     }
 
     /// Scan-side tuple production over a contiguous row range, pushed one
-    /// tuple at a time into `sink` — the head of every fused pipeline.
-    /// Valid frames run the fused [`SelectKernel`] chain; frames that could
-    /// not encode (nulls) walk the selects through the interpreter.
+    /// tuple at a time into `sink` — the head of every fused pipeline. One
+    /// scratch tuple serves the whole range: each row's slots encode
+    /// straight off the source columns into its frame, so the loop
+    /// allocates nothing per row. Valid frames run the fused
+    /// [`SelectKernel`] chain; frames that could not encode (nulls) walk
+    /// the selects through the interpreter.
     fn push_source(
         &self,
         idx: usize,
@@ -2268,21 +2318,24 @@ impl Pipeline {
         sink: TupleSink<'_>,
     ) -> Result<()> {
         let s = &self.sources[idx];
+        let mut t = Tuple::scratch(self.frame_width);
+        t.rows.push((idx, 0));
         'rows: for row in rows {
-            let mut frame = vec![0i64; self.frame_width];
             let mut valid = true;
-            for (slot, col) in &s.slot_cols {
-                match col[row] {
-                    Some(bits) => frame[*slot] = bits,
-                    None => valid = false,
-                }
+            for (slot, ty, col) in &s.scalar_cols {
+                t.frame[*slot] = encode_scalar(*ty, &col[row]).unwrap_or_else(|| {
+                    valid = false;
+                    0
+                });
             }
-            let t = Tuple {
-                frame,
-                valid,
-                rows: vec![(idx, row)],
-                unnest_vals: Vec::new(),
-            };
+            for (slot, col) in &s.str_cols {
+                t.frame[*slot] = col[row].unwrap_or_else(|| {
+                    valid = false;
+                    0
+                });
+            }
+            t.valid = valid;
+            t.rows[0] = (idx, row);
             if valid {
                 if let Some(fused) = &s.fused_selects {
                     if stats.trace.is_some() {
@@ -2294,7 +2347,7 @@ impl Pipeline {
                         }
                     }
                     if fused.admit(&t.frame) {
-                        sink(stats, t)?;
+                        sink(stats, &t)?;
                     }
                     continue;
                 }
@@ -2304,25 +2357,48 @@ impl Pipeline {
                     continue 'rows;
                 }
             }
-            sink(stats, t)?;
+            sink(stats, &t)?;
         }
         Ok(())
     }
 
-    /// Materialize a source's tuples over a row range — only where a buffer
-    /// is genuinely required: join build sides (pipeline breakers). Every
-    /// call counts one `operator_materializations` buffer; `execute`
-    /// reports the count beyond the build sides the plan expects.
-    fn source_tuples_range(
+    /// Materialize a source's tuples over a row range into a flat build
+    /// side chunk — only where a buffer is genuinely required: join build sides
+    /// (pipeline breakers). With `key`, each valid tuple's join key is
+    /// extracted while its full frame is at hand. Every call counts one
+    /// `operator_materializations` buffer; `execute` reports the count
+    /// beyond the build sides the plan expects.
+    fn build_chunk(
         &self,
         idx: usize,
         rows: std::ops::Range<usize>,
+        key: BuildKey<'_>,
         stats: &mut ExecStats,
-    ) -> Result<Vec<Tuple>> {
+    ) -> Result<BuildSide> {
         stats.operator_materializations += 1;
-        let mut out = Vec::new();
+        let slots = &self.sources[idx].slots;
+        // Sized for the whole range (selects only shrink it), so the chunk
+        // grows without reallocating.
+        let n = rows.len();
+        let mut out = BuildSide {
+            source: idx,
+            slots: slots.clone(),
+            frames: Vec::with_capacity(n * slots.len()),
+            valid: Vec::with_capacity(n),
+            rows: Vec::with_capacity(n),
+            keys: Vec::with_capacity(if key.is_some() { n } else { 0 }),
+        };
         self.push_source(idx, rows, stats, &mut |_, t| {
-            out.push(t);
+            out.frames.extend(slots.iter().map(|&s| t.frame[s]));
+            out.valid.push(t.valid);
+            out.rows.push(t.rows[0].1);
+            if let Some((k, ty, float_keys)) = key {
+                out.keys.push(if t.valid {
+                    encode_key(k.call(&t.frame), ty, float_keys)
+                } else {
+                    0
+                });
+            }
             Ok(())
         })?;
         Ok(out)
@@ -2330,10 +2406,12 @@ impl Pipeline {
 
     /// Drive the push loop: stream `range` rows of the pipeline's leftmost
     /// scan through every fused stage, handing each surviving tuple to
-    /// `sink`. Each operator arm wraps `sink` in its own consumer closure,
-    /// so a select→unnest→probe→fold chain executes as one loop nest with
-    /// **no intermediate `Vec<Tuple>`**; the join build sides arrive
-    /// pre-materialized in `builds` (the only pipeline breakers).
+    /// `sink`. Each operator arm wraps `sink` in its own consumer closure
+    /// and owns one scratch tuple for what it emits, so a
+    /// select→unnest→probe→fold chain executes as one loop nest with **no
+    /// intermediate `Vec<Tuple>`** and no per-tuple allocation; the join
+    /// build sides arrive pre-materialized in `builds` (the only pipeline
+    /// breakers).
     fn drive(
         &self,
         node: &Node,
@@ -2348,12 +2426,14 @@ impl Pipeline {
                 input,
                 stage,
                 selects,
-            } => self.drive(input, range, builds, stats, &mut |stats, t| {
-                self.unnest_tuple(*stage, selects, &t, stats, sink)
-            }),
+            } => {
+                let mut out = Tuple::scratch(self.frame_width);
+                self.drive(input, range, builds, stats, &mut |stats, t| {
+                    self.unnest_tuple(*stage, selects, t, &mut out, stats, sink)
+                })
+            }
             Node::HashJoin {
                 left,
-                right,
                 build,
                 left_key,
                 left_key_ty,
@@ -2363,19 +2443,31 @@ impl Pipeline {
                 ..
             } => {
                 let jb = &builds[*build];
-                let rslots = &self.sources[*right].slots;
+                let BuildProbe::Hash(tables) = &jb.probe else {
+                    unreachable!("hash joins prepare hash tables");
+                };
+                let mut pair = Tuple::scratch(self.frame_width);
+                let mut merged = Vec::new();
                 self.drive(left, range, builds, stats, &mut |stats, lt| {
-                    if lt.valid {
-                        stats.kernel_hit(left_key.id());
+                    if !lt.valid {
+                        // Invalid probe frames are compared against every
+                        // build tuple through the interpreter (null keys
+                        // join null keys in this calculus).
+                        let all = 0..jb.side.len();
+                        return self.probe_pairs(
+                            lt, all, &jb.side, predicate, selects, &mut pair, stats, sink,
+                        );
                     }
-                    let candidates = jb.hash_candidates(&lt, left_key, *left_key_ty, *float_keys);
+                    stats.kernel_hit(left_key.id());
+                    let k = encode_key(left_key.call(&lt.frame), *left_key_ty, *float_keys);
+                    let candidates = tables.candidates(k, &mut merged);
                     self.probe_pairs(
-                        &lt,
-                        &candidates,
-                        &jb.right_tuples,
-                        rslots,
+                        lt,
+                        candidates.iter().map(|&i| i as usize),
+                        &jb.side,
                         predicate,
                         selects,
+                        &mut pair,
                         stats,
                         sink,
                     )
@@ -2383,31 +2475,43 @@ impl Pipeline {
             }
             Node::ThetaJoin {
                 left,
-                right,
                 build,
                 band,
                 predicate,
                 selects,
+                ..
             } => {
                 let jb = &builds[*build];
-                let rslots = &self.sources[*right].slots;
+                let index = match &jb.probe {
+                    BuildProbe::Band(index) => Some(index),
+                    _ => None,
+                };
+                let mut pair = Tuple::scratch(self.frame_width);
+                let mut merged = Vec::new();
                 self.drive(left, range, builds, stats, &mut |stats, lt| {
                     if let Some(b) = band {
-                        if lt.valid && jb.index.is_some() {
+                        if lt.valid && index.is_some() {
                             stats.kernel_hit(b.left_key.id());
                         }
                     }
-                    let candidates = theta_candidates(&lt, band.as_ref(), jb.index.as_ref());
-                    self.probe_pairs(
-                        &lt,
-                        candidates.as_deref().unwrap_or(&jb.all),
-                        &jb.right_tuples,
-                        rslots,
-                        predicate,
-                        selects,
-                        stats,
-                        sink,
-                    )
+                    match theta_candidates(lt, band.as_ref(), index, &mut merged) {
+                        Some(c) => self.probe_pairs(
+                            lt,
+                            c.iter().map(|&i| i as usize),
+                            &jb.side,
+                            predicate,
+                            selects,
+                            &mut pair,
+                            stats,
+                            sink,
+                        ),
+                        None => {
+                            let all = 0..jb.side.len();
+                            self.probe_pairs(
+                                lt, all, &jb.side, predicate, selects, &mut pair, stats, sink,
+                            )
+                        }
+                    }
                 })
             }
         }
@@ -2415,11 +2519,11 @@ impl Pipeline {
 
     /// Materialize the build side of every join in the tree, in the DFS
     /// order `assemble` assigned build slots. These are the pipeline
-    /// breakers of push execution: each right side scans morsel-wise into a
-    /// tuple buffer once, then hashes into radix-partitioned tables or
-    /// sorts into a band index. Partition counts and bucket order depend
-    /// only on the data, so every worker count probes identical candidate
-    /// sets.
+    /// breakers of push execution: each right side scans morsel-wise into
+    /// a flat [`BuildSide`] once, then hashes into radix-partitioned
+    /// tables or sorts into a band index. Partition counts and bucket
+    /// order depend only on the data, so every worker count probes
+    /// identical candidate sets.
     fn prepare_builds(&self, pool: &WorkerPool, stats: &mut ExecStats) -> Result<Vec<JoinBuild>> {
         let mut builds = Vec::new();
         self.prepare_builds_node(&self.root, pool, stats, &mut builds)?;
@@ -2446,18 +2550,20 @@ impl Pipeline {
                 ..
             } => {
                 self.prepare_builds_node(left, pool, stats, builds)?;
-                let right_tuples = self.build_side_tuples(*right, pool, stats)?;
-                let jb = JoinBuild::hash(
-                    right_tuples,
-                    right_key,
-                    *right_key_ty,
-                    *float_keys,
-                    pool,
-                    self.morsel_rows,
-                    stats,
-                )?;
+                let key = Some((right_key, *right_key_ty, *float_keys));
+                let mut side = self.build_side(*right, key, pool, stats)?;
+                let keys = std::mem::take(&mut side.keys);
+                if stats.trace.is_some() {
+                    // The build extracts the key of every valid tuple
+                    // exactly once.
+                    stats.kernel_hits(right_key.id(), side.valid_count());
+                }
+                let tables = HashTables::build(&side, &keys, pool, self.morsel_rows, stats)?;
                 debug_assert_eq!(builds.len(), *build);
-                builds.push(jb);
+                builds.push(JoinBuild {
+                    side,
+                    probe: BuildProbe::Hash(tables),
+                });
                 Ok(())
             }
             Node::ThetaJoin {
@@ -2468,104 +2574,122 @@ impl Pipeline {
                 ..
             } => {
                 self.prepare_builds_node(left, pool, stats, builds)?;
-                let right_tuples = self.build_side_tuples(*right, pool, stats)?;
-                if let Some(b) = band {
-                    if stats.trace.is_some() {
-                        // BandIndex::build invokes the band key kernel once
-                        // per valid build tuple.
-                        let n = right_tuples.iter().filter(|t| t.valid).count() as u64;
-                        stats.kernel_hits(b.right_key.id(), n);
+                let key = band
+                    .as_ref()
+                    .map(|b| (&b.right_key, b.right_key_ty, b.float_keys));
+                let mut side = self.build_side(*right, key, pool, stats)?;
+                let keys = std::mem::take(&mut side.keys);
+                let probe = match band {
+                    Some(b) => {
+                        if stats.trace.is_some() {
+                            // The band key kernel runs once per valid
+                            // build tuple.
+                            stats.kernel_hits(b.right_key.id(), side.valid_count());
+                        }
+                        BuildProbe::Band(BandIndex::build(b.float_keys, &side.valid, &keys))
                     }
-                }
-                let index = band.as_ref().map(|b| BandIndex::build(b, &right_tuples));
+                    None => BuildProbe::Loop,
+                };
                 debug_assert_eq!(builds.len(), *build);
-                builds.push(JoinBuild::theta(right_tuples, index));
+                builds.push(JoinBuild { side, probe });
                 Ok(())
             }
         }
     }
 
-    /// Build-side scan: one tuple buffer per morsel, concatenated in morsel
-    /// order, so the buffer is the same at every worker count.
-    fn build_side_tuples(
+    /// Build-side scan: one flat chunk per morsel, appended in morsel
+    /// order, so the side (and its keys, when `key` is given) is the same
+    /// at every worker count.
+    fn build_side(
         &self,
         idx: usize,
+        key: BuildKey<'_>,
         pool: &WorkerPool,
         stats: &mut ExecStats,
-    ) -> Result<Vec<Tuple>> {
+    ) -> Result<BuildSide> {
         let plan = MorselPlan::fixed(self.sources[idx].nrows, self.morsel_rows);
         stats.morsels += plan.len() as u64;
         let epoch = stats.trace_epoch();
+        let side = BuildSide {
+            source: idx,
+            slots: self.sources[idx].slots.clone(),
+            frames: Vec::new(),
+            valid: Vec::new(),
+            rows: Vec::new(),
+            keys: Vec::new(),
+        };
         pool.fold_morsels(
             plan.len(),
             |w, m| {
                 let mut ws = worker_stats(w, epoch);
                 ws.span_begin(stage::BUILD_SIDE);
-                let out = self.source_tuples_range(idx, plan.range(m), &mut ws)?;
-                ws.span_end_counted(out.len() as u64, 1);
-                Ok::<_, VidaError>((out, ws))
+                let chunk = self.build_chunk(idx, plan.range(m), key, &mut ws)?;
+                ws.span_end_counted(chunk.rows.len() as u64, 1);
+                Ok::<_, VidaError>((chunk, ws))
             },
-            Vec::new(),
-            |mut all, (chunk, ws)| {
-                all.extend(chunk);
+            side,
+            |mut side, (chunk, ws)| {
+                side.frames.extend(chunk.frames);
+                side.valid.extend(chunk.valid);
+                side.rows.extend(chunk.rows);
+                side.keys.extend(chunk.keys);
                 stats.absorb_worker(ws);
-                Ok(all)
+                Ok(side)
             },
         )
     }
 
     /// Emit the surviving join pairs of one probe tuple against its
-    /// candidate build tuples, pushing each straight into `sink`.
+    /// candidate build tuples, pushing each straight into `sink`. `pair` is
+    /// the probe arm's scratch tuple: the probe half (frame, provenance,
+    /// unnest values) is copied in once per probe tuple that has a
+    /// candidate, and each candidate then overwrites only the build side's
+    /// slots and provenance row.
     #[allow(clippy::too_many_arguments)]
     fn probe_pairs(
         &self,
         lt: &Tuple,
-        candidates: &[usize],
-        right_tuples: &[Tuple],
-        rslots: &[usize],
+        candidates: impl Iterator<Item = usize>,
+        side: &BuildSide,
         predicate: &Step,
         selects: &[Step],
+        pair: &mut Tuple,
         stats: &mut ExecStats,
         sink: TupleSink<'_>,
     ) -> Result<()> {
-        'pairs: for &ri in candidates {
-            let rt = &right_tuples[ri];
-            let mut frame = lt.frame.clone();
-            for &slot in rslots {
-                frame[slot] = rt.frame[slot];
+        let mut primed = false;
+        'pairs: for ri in candidates {
+            if !primed {
+                pair.copy_from(lt);
+                pair.rows.push((side.source, 0));
+                primed = true;
             }
-            let merged = Tuple {
-                frame,
-                valid: lt.valid && rt.valid,
-                rows: lt.rows.iter().chain(rt.rows.iter()).copied().collect(),
-                unnest_vals: lt
-                    .unnest_vals
-                    .iter()
-                    .chain(rt.unnest_vals.iter())
-                    .cloned()
-                    .collect(),
-            };
-            if !self.apply_step(predicate, &merged, stats, "join")? {
+            side.fill(ri, &mut pair.frame);
+            pair.valid = lt.valid && side.valid[ri];
+            *pair.rows.last_mut().expect("pushed when primed") = (side.source, side.rows[ri]);
+            if !self.apply_step(predicate, pair, stats, "join")? {
                 continue;
             }
             for sel in selects {
-                if !self.apply_step(sel, &merged, stats, "selection")? {
+                if !self.apply_step(sel, pair, stats, "selection")? {
                     continue 'pairs;
                 }
             }
-            sink(stats, merged)?;
+            sink(stats, pair)?;
         }
         Ok(())
     }
 
     /// Flatten one input tuple through an unnest stage: one output tuple
     /// per collection element, frames extended with the element slots,
-    /// stage selects applied, survivors pushed into `sink`.
+    /// stage selects applied, survivors pushed into `sink`. `out` is the
+    /// stage's scratch tuple, rewritten in place for every element.
     fn unnest_tuple(
         &self,
         stage: usize,
         selects: &[Step],
         t: &Tuple,
+        out: &mut Tuple,
         stats: &mut ExecStats,
         sink: TupleSink<'_>,
     ) -> Result<()> {
@@ -2589,174 +2713,265 @@ impl Pipeline {
         let items = coll.elements().ok_or_else(|| {
             VidaError::Exec(format!("unnest path {} produced non-collection", u.path))
         })?;
+        let mut primed = false;
         'items: for item in items {
-            let mut frame = t.frame.clone();
+            if !primed {
+                out.copy_from(t);
+                out.unnest_vals.push((stage, Value::Null));
+                primed = true;
+            }
             let mut valid = t.valid;
             for (field, slot, ty) in &u.slots {
                 let v = match field {
                     None => Some(item),
                     Some(f) => item.field(f),
                 };
-                match v.and_then(|v| encode_elem(*ty, v, &self.interner)) {
-                    Some(bits) => frame[*slot] = bits,
-                    None => valid = false,
-                }
+                out.frame[*slot] = v
+                    .and_then(|v| encode_elem(*ty, v, &self.interner))
+                    .unwrap_or_else(|| {
+                        valid = false;
+                        0
+                    });
             }
-            let mut unnest_vals = t.unnest_vals.clone();
-            unnest_vals.push((stage, item.clone()));
-            let nt = Tuple {
-                frame,
-                valid,
-                rows: t.rows.clone(),
-                unnest_vals,
-            };
+            out.valid = valid;
+            out.unnest_vals.last_mut().expect("pushed when primed").1 = item.clone();
             for sel in selects {
-                if !self.apply_step(sel, &nt, stats, "selection")? {
+                if !self.apply_step(sel, out, stats, "selection")? {
                     continue 'items;
                 }
             }
-            sink(stats, nt)?;
+            sink(stats, out)?;
         }
         Ok(())
     }
 }
 
 /// The consumer side of one pipeline stage: receives each surviving tuple
-/// (plus the worker-local stats) and forwards it — into the next stage's
-/// closure, the fold, or a build buffer. Passing stats through the sink
-/// keeps one mutable path through the whole recursive loop nest.
-type TupleSink<'a> = &'a mut dyn FnMut(&mut ExecStats, Tuple) -> Result<()>;
+/// by reference (plus the worker-local stats) and forwards it — into the
+/// next stage's closure, the fold, or a build chunk. The tuple is the
+/// producing stage's scratch buffer, valid only for the call: a consumer
+/// that keeps anything copies it out (a join probe into its pair tuple,
+/// the fold into its head value). Passing stats through the sink keeps one
+/// mutable path through the whole recursive loop nest.
+type TupleSink<'a> = &'a mut dyn FnMut(&mut ExecStats, &Tuple) -> Result<()>;
+
+/// How a build side extracts each valid tuple's join key while scanning:
+/// the right key kernel, its slot type, and whether keys promote to the
+/// float domain. `None` for block-nested-loop joins, which need no key.
+type BuildKey<'k> = Option<(&'k CompiledKernel, SlotType, bool)>;
+
+/// A join's materialized build side, flat. A build side is always a single
+/// scan, so each build tuple is exactly that source's slots, one
+/// provenance row, and no unnest values: tuples are stored in right-scan
+/// order as one `i64` arena (`slots.len()` values per tuple), a validity
+/// vector, and a source-row vector, so a side costs a few allocations in
+/// all, none per tuple.
+struct BuildSide {
+    /// Source index of the scanned right side (the provenance binding).
+    source: usize,
+    /// Global frame slots each tuple fills, in arena order.
+    slots: Vec<usize>,
+    frames: Vec<i64>,
+    valid: Vec<bool>,
+    /// Source row of each build tuple.
+    rows: Vec<usize>,
+    /// Each tuple's join key (`0` for invalid tuples), extracted during the
+    /// build scan when the join has one; taken out to build the hash
+    /// tables or band index.
+    keys: Vec<i64>,
+}
+
+impl BuildSide {
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn valid_count(&self) -> u64 {
+        self.valid.iter().filter(|&&v| v).count() as u64
+    }
+
+    /// Write build tuple `i`'s slots into a full-width frame.
+    #[inline]
+    fn fill(&self, i: usize, frame: &mut [i64]) {
+        let w = self.slots.len();
+        for (&slot, &bits) in self.slots.iter().zip(&self.frames[i * w..(i + 1) * w]) {
+            frame[slot] = bits;
+        }
+    }
+}
 
 /// Materialized build side of one join — the pipeline breaker the
 /// streaming engine still pays, constructed once before the push loop and
 /// shared (read-only) by every probe morsel.
 struct JoinBuild {
-    right_tuples: Vec<Tuple>,
-    /// Hash strategy: radix-partitioned tables (`partition_count` depends
-    /// only on the build size, so every worker count builds the same
-    /// tables) plus the invalid-frame stragglers every probe checks
-    /// through the interpreter.
-    tables: Vec<HashMap<i64, Vec<usize>>>,
-    partitions: usize,
-    loose: Vec<usize>,
-    /// Band strategy: the sorted key index.
-    index: Option<BandIndex>,
-    /// Cached `0..n` candidate list for block-nested-loop probes, hoisted
-    /// so invalid probes and band-less joins do not reallocate it per
-    /// tuple.
-    all: Vec<usize>,
+    side: BuildSide,
+    probe: BuildProbe,
 }
 
-impl JoinBuild {
-    /// Hash-join build: extract key bits, split by radix partition, and
-    /// assemble one table per partition. The extraction runs morsel-wise
-    /// and partition tables build one per pool morsel; visiting morsel
-    /// pre-splits in morsel order keeps every bucket's index list
+/// How probes find their candidate build tuples.
+enum BuildProbe {
+    /// Equi-join: radix-partitioned hash tables.
+    Hash(HashTables),
+    /// Band theta join: the sorted key index.
+    Band(BandIndex),
+    /// Block-nested loop: every probe checks every build tuple.
+    Loop,
+}
+
+/// Radix-partitioned hash tables over a build side. `partitions` depends
+/// only on the build size, so every worker count builds the same tables.
+/// Each partition maps a key to a range of one flat index array, where
+/// the key's build-tuple indexes sit contiguous and ascending.
+struct HashTables {
+    /// Per partition, `key → start..end` into `index`.
+    tables: Vec<HashMap<i64, (u32, u32)>>,
+    /// Build-tuple indexes, grouped by partition, then by key.
+    index: Vec<u32>,
+    partitions: usize,
+    /// Invalid-frame build tuples (ascending), which every probe checks
+    /// through the interpreter.
+    loose: Vec<u32>,
+}
+
+impl HashTables {
+    /// Hash-join build over pre-extracted `keys`: split by radix
+    /// partition, then lay out one range table per partition. The split
+    /// runs morsel-wise and the tables build one per pool morsel; visiting
+    /// the morsel pre-splits in morsel order keeps every key's run
     /// ascending, so every worker count builds the same tables.
-    fn hash(
-        right_tuples: Vec<Tuple>,
-        right_key: &CompiledKernel,
-        right_key_ty: SlotType,
-        float_keys: bool,
+    fn build(
+        side: &BuildSide,
+        keys: &[i64],
         pool: &WorkerPool,
         morsel_rows: usize,
         stats: &mut ExecStats,
-    ) -> Result<JoinBuild> {
-        let partitions = radix::partition_count(right_tuples.len());
-        let all = (0..right_tuples.len()).collect();
-        let key_of = |t: &Tuple| encode_key(right_key.call(&t.frame), right_key_ty, float_keys);
-        if stats.trace.is_some() {
-            // The build extracts the key of every valid tuple exactly once.
-            let n = right_tuples.iter().filter(|t| t.valid).count() as u64;
-            stats.kernel_hits(right_key.id(), n);
+    ) -> Result<HashTables> {
+        let n = side.len();
+        if n >= u32::MAX as usize {
+            return Err(VidaError::Exec(format!(
+                "hash join build side of {n} tuples exceeds the 32-bit index"
+            )));
         }
-        // Phase 1: workers pre-split key bits by partition, morsel-wise.
-        let rplan = MorselPlan::fixed(right_tuples.len(), morsel_rows);
+        let partitions = radix::partition_count(n);
+        // Phase 1: workers radix-split (key, index) pairs morsel-wise — a
+        // counting sort into one buffer per morsel, partition `p` at
+        // `bounds[p]..bounds[p + 1]`, each in index order.
+        let rplan = MorselPlan::fixed(n, morsel_rows);
         stats.morsels += rplan.len() as u64;
         let pre = pool.run_morsels(
             rplan.len(),
             |_| (),
             |_, m| {
-                let mut parts: Vec<Vec<(i64, usize)>> = vec![Vec::new(); partitions];
-                let mut loose: Vec<usize> = Vec::new();
+                let mut bounds = vec![0usize; partitions + 1];
+                let mut loose: Vec<u32> = Vec::new();
                 for i in rplan.range(m) {
-                    let t = &right_tuples[i];
-                    if t.valid {
-                        let k = key_of(t);
-                        parts[partition_of(k, partitions)].push((k, i));
+                    if side.valid[i] {
+                        bounds[partition_of(keys[i], partitions) + 1] += 1;
                     } else {
-                        loose.push(i);
+                        loose.push(i as u32);
                     }
                 }
-                Ok::<_, VidaError>((parts, loose))
+                for p in 0..partitions {
+                    bounds[p + 1] += bounds[p];
+                }
+                let mut fill = bounds.clone();
+                let mut pairs = vec![(0i64, 0u32); bounds[partitions]];
+                for i in rplan.range(m) {
+                    if side.valid[i] {
+                        let slot = &mut fill[partition_of(keys[i], partitions)];
+                        pairs[*slot] = (keys[i], i as u32);
+                        *slot += 1;
+                    }
+                }
+                Ok::<_, VidaError>((pairs, bounds, loose))
             },
         )?;
-        // Phase 2: one morsel per partition assembles that partition's
-        // table from the morsel-ordered pre-splits.
-        let tables = pool.run_morsels(
+        let part = |p: usize| {
+            pre.iter()
+                .flat_map(move |(pairs, bounds, _)| &pairs[bounds[p]..bounds[p + 1]])
+        };
+        // Partition `p`'s run of the flat index starts after every earlier
+        // partition's tuples.
+        let mut base = vec![0usize; partitions + 1];
+        for p in 0..partitions {
+            base[p + 1] = base[p] + pre.iter().map(|(_, b, _)| b[p + 1] - b[p]).sum::<usize>();
+        }
+        // Phase 2: one morsel per partition counts each key's tuples, gives
+        // each key a contiguous range in first-seen order, and fills the
+        // ranges in morsel order (so each run is ascending).
+        let built = pool.run_morsels(
             partitions,
             |_| (),
             |_, p| {
-                let mut table: HashMap<i64, Vec<usize>> = HashMap::new();
-                for (parts, _) in &pre {
-                    for &(k, i) in &parts[p] {
-                        table.entry(k).or_default().push(i);
-                    }
+                let mut table: HashMap<i64, (u32, u32)> = HashMap::new();
+                for &(k, _) in part(p) {
+                    table.entry(k).or_insert((u32::MAX, 0)).1 += 1;
                 }
-                Ok::<_, VidaError>(table)
+                let start = base[p] as u32;
+                let mut run = vec![0u32; base[p + 1] - base[p]];
+                let mut next = start;
+                for &(k, i) in part(p) {
+                    // `(u32::MAX, count)` until first seen, then the
+                    // `(start, fill cursor)` that ends as `(start, end)`.
+                    let e = table.get_mut(&k).expect("counted above");
+                    if e.0 == u32::MAX {
+                        let count = e.1;
+                        *e = (next, next);
+                        next += count;
+                    }
+                    run[(e.1 - start) as usize] = i;
+                    e.1 += 1;
+                }
+                Ok::<_, VidaError>((table, run))
             },
         )?;
-        let loose = pre.iter().flat_map(|(_, l)| l.iter().copied()).collect();
-        Ok(JoinBuild {
-            right_tuples,
+        let mut tables = Vec::with_capacity(partitions);
+        let mut index = Vec::with_capacity(n);
+        for (table, run) in built {
+            tables.push(table);
+            index.extend(run);
+        }
+        let loose = pre.iter().flat_map(|(_, _, l)| l.iter().copied()).collect();
+        Ok(HashTables {
             tables,
+            index,
             partitions,
             loose,
-            index: None,
-            all,
         })
     }
 
-    /// Theta-join build: tuples plus (for band joins) the sorted key index.
-    fn theta(right_tuples: Vec<Tuple>, index: Option<BandIndex>) -> JoinBuild {
-        let all = (0..right_tuples.len()).collect();
-        JoinBuild {
-            right_tuples,
-            tables: Vec::new(),
-            partitions: 0,
-            loose: Vec::new(),
-            index,
-            all,
+    /// Candidate build-tuple indexes for one valid hash probe with key
+    /// `k`, in ascending (right-scan) order so non-commutative monoids see
+    /// the interpreter's pair order: the key's run, borrowed in place, and
+    /// merged with the loose tuples into `merged` only when there are any.
+    fn candidates<'s>(&'s self, k: i64, merged: &'s mut Vec<u32>) -> &'s [u32] {
+        let run = match self.tables[partition_of(k, self.partitions)].get(&k) {
+            Some(&(start, end)) => &self.index[start as usize..end as usize],
+            None => &[],
+        };
+        if self.loose.is_empty() {
+            return run;
         }
+        merge_ascending(run, &self.loose, merged);
+        merged
     }
+}
 
-    /// Candidate build-tuple indexes for one hash probe, in ascending
-    /// (right-scan) order so non-commutative monoids see the interpreter's
-    /// pair order. Invalid probe frames are compared against every build
-    /// tuple through the interpreter (null keys join null keys in this
-    /// calculus).
-    fn hash_candidates(
-        &self,
-        lt: &Tuple,
-        left_key: &CompiledKernel,
-        left_key_ty: SlotType,
-        float_keys: bool,
-    ) -> Vec<usize> {
-        if !lt.valid {
-            return self.all.clone();
+/// Merge two ascending index lists into `out` (cleared first).
+fn merge_ascending(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] < b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
         }
-        let k = encode_key(left_key.call(&lt.frame), left_key_ty, float_keys);
-        let mut c: Vec<usize> = self.tables[partition_of(k, self.partitions)]
-            .get(&k)
-            .map(|b| b.as_slice())
-            .unwrap_or(&[])
-            .iter()
-            .chain(self.loose.iter())
-            .copied()
-            .collect();
-        c.sort_unstable();
-        c
     }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
 /// Leftmost scan of the pipeline tree — the source whose rows the push
@@ -2809,45 +3024,32 @@ fn fused_depth(node: &Node) -> u32 {
     }
 }
 
-/// The sorted key index a band theta join probes: valid right tuples keyed
-/// by their compiled band key, plus the tuples the index cannot order
-/// (invalid frames, NaN keys) which every probe must still check pairwise.
+/// The sorted key index a band theta join probes: valid build tuples keyed
+/// by their compiled band key, in the same total order the compiled
+/// comparisons use (NaN keys included), plus the invalid-frame tuples the
+/// index cannot order, which every probe must still check pairwise.
 struct BandIndex {
-    /// `(key bits, right tuple index)`, sorted by key then index.
-    sorted: Vec<(i64, usize)>,
+    /// `(key bits, build tuple index)`, sorted by key then index.
+    sorted: Vec<(i64, u32)>,
     /// Right-scan-order indexes outside the sorted run.
-    unindexed: Vec<usize>,
+    unindexed: Vec<u32>,
 }
 
 impl BandIndex {
-    fn build(band: &Band, right_tuples: &[Tuple]) -> BandIndex {
-        let mut sorted = Vec::with_capacity(right_tuples.len());
+    /// Index a build side from its per-tuple band `keys` (extracted during
+    /// the build scan; ignored for invalid tuples).
+    fn build(float_keys: bool, valid: &[bool], keys: &[i64]) -> BandIndex {
+        let mut sorted = Vec::with_capacity(valid.len());
         let mut unindexed = Vec::new();
-        for (i, t) in right_tuples.iter().enumerate() {
-            if !t.valid {
-                unindexed.push(i);
-                continue;
-            }
-            let k = encode_key(
-                band.right_key.call(&t.frame),
-                band.right_key_ty,
-                band.float_keys,
-            );
-            if band.float_keys && f64::from_bits(k as u64).is_nan() {
-                // NaN compares false under every IEEE ordering; keep such
-                // keys out of the sorted run (they would break binary
-                // search) and let the pairwise predicate reject them.
-                unindexed.push(i);
+        for (i, (&v, &k)) in valid.iter().zip(keys).enumerate() {
+            if v {
+                sorted.push((k, i as u32));
             } else {
-                sorted.push((k, i));
+                unindexed.push(i as u32);
             }
         }
-        if band.float_keys {
-            sorted.sort_unstable_by(|(a, ai), (b, bi)| {
-                f64::from_bits(*a as u64)
-                    .total_cmp(&f64::from_bits(*b as u64))
-                    .then(ai.cmp(bi))
-            });
+        if float_keys {
+            sorted.sort_unstable_by_key(|&(k, i)| (total_key(k), i));
         } else {
             sorted.sort_unstable();
         }
@@ -2856,7 +3058,7 @@ impl BandIndex {
 
     /// Indexes of the sorted run satisfying `left_key op right_key` for one
     /// probe key, as the half-open range binary search finds.
-    fn range(&self, band: &Band, lk: i64) -> &[(i64, usize)] {
+    fn range(&self, band: &Band, lk: i64) -> &[(i64, u32)] {
         let lt = |k: i64| key_lt(k, lk, band.float_keys);
         let le = |k: i64| !key_lt(lk, k, band.float_keys);
         match band.op {
@@ -2873,26 +3075,28 @@ impl BandIndex {
     }
 }
 
-/// Strict `a < b` over canonical key bits.
+/// Strict `a < b` over canonical key bits — for float keys in the IEEE
+/// total order the compiled comparisons and the interpreter use.
 fn key_lt(a: i64, b: i64, float_keys: bool) -> bool {
     if float_keys {
-        f64::from_bits(a as u64) < f64::from_bits(b as u64)
+        total_key(a) < total_key(b)
     } else {
         a < b
     }
 }
 
-/// Candidate right-tuple indexes for one theta probe, in ascending
+/// Candidate build-tuple indexes for one theta probe, in ascending
 /// (right-scan) order so non-commutative monoids see the interpreter's pair
 /// order. `None` means "every build tuple" — invalid probe frames and
-/// band-less joins run the block-nested loop over a candidate list the
-/// caller hoisted once, instead of reallocating it per probe. Band probes
-/// narrow to the sorted key range plus the unindexed stragglers.
-fn theta_candidates(
+/// band-less joins run the block-nested loop over the whole side. Band
+/// probes narrow to the sorted key range plus the unindexed stragglers,
+/// merged in index order into the probe arm's reused `merged` buffer.
+fn theta_candidates<'b>(
     lt: &Tuple,
     band: Option<&Band>,
     index: Option<&BandIndex>,
-) -> Option<Vec<usize>> {
+    merged: &'b mut Vec<u32>,
+) -> Option<&'b [u32]> {
     let (Some(band), Some(index)) = (band, index) else {
         return None;
     };
@@ -2904,16 +3108,11 @@ fn theta_candidates(
         band.left_key_ty,
         band.float_keys,
     );
-    let mut c: Vec<usize> = if band.float_keys && f64::from_bits(lk as u64).is_nan() {
-        // NaN probe keys satisfy no IEEE range; only the unindexed build
-        // tuples (whose comparison runs through the full predicate) remain.
-        Vec::new()
-    } else {
-        index.range(band, lk).iter().map(|&(_, i)| i).collect()
-    };
-    c.extend(index.unindexed.iter().copied());
-    c.sort_unstable();
-    Some(c)
+    merged.clear();
+    merged.extend(index.range(band, lk).iter().map(|&(_, i)| i));
+    merged.extend_from_slice(&index.unindexed);
+    merged.sort_unstable();
+    Some(merged)
 }
 
 // ---------------------------------------------------------------------------
@@ -2974,7 +3173,7 @@ impl Pipeline {
                         let mut items = Vec::new();
                         self.drive(&self.root, plan.range(m), &builds, &mut ws, &mut |ws, t| {
                             ws.actual_rows += 1;
-                            items.push(self.head_value(&t, ws)?);
+                            items.push(self.head_value(t, ws)?);
                             Ok(())
                         })?;
                         ws.span_end_counted(items.len() as u64, 1);
@@ -3038,7 +3237,7 @@ impl Pipeline {
                     |w, mi| {
                         let mut ws = worker_stats(w, epoch);
                         ws.span_begin(dstage);
-                        let mut acc = m.zero();
+                        let mut acc = PartialFold::new(m);
                         let mut pushed = 0u64;
                         self.drive(
                             &self.root,
@@ -3047,15 +3246,13 @@ impl Pipeline {
                             &mut ws,
                             &mut |ws, t| {
                                 ws.actual_rows += 1;
-                                let v = self.head_value(&t, ws)?;
-                                acc =
-                                    m.merge(std::mem::replace(&mut acc, Value::Null), m.unit(v))?;
+                                acc.push(self.head_value(t, ws)?)?;
                                 pushed += 1;
                                 Ok(())
                             },
                         )?;
                         ws.span_end_counted(pushed, 1);
-                        Ok::<_, VidaError>((acc, ws))
+                        Ok::<_, VidaError>((acc.into_value(), ws))
                     },
                     seed,
                     |mut accs, (acc, ws)| {
@@ -3088,6 +3285,47 @@ impl Pipeline {
                 let plan = MorselPlan::fixed(self.sources[*right].nrows, self.morsel_rows);
                 self.build_side_buffers(left) + plan.len() as u64
             }
+        }
+    }
+}
+
+/// One morsel's primitive fold accumulator. `avg` keeps its running
+/// `(sum, count)` typed — its `Value` carrier is a record, which would cost
+/// an allocation per tuple — and wraps it into that carrier once, at morsel
+/// end, after the same left-to-right additions [`Monoid::merge`] performs.
+/// Every other primitive monoid merges scalar `Value`s directly.
+enum PartialFold {
+    Avg { sum: f64, count: i64 },
+    Merge(Monoid, Value),
+}
+
+impl PartialFold {
+    fn new(m: Monoid) -> PartialFold {
+        match m {
+            Monoid::Primitive(PrimitiveMonoid::Avg) => PartialFold::Avg { sum: 0.0, count: 0 },
+            m => PartialFold::Merge(m, m.zero()),
+        }
+    }
+
+    /// Fold one head value in (`Monoid::unit` then `Monoid::merge`).
+    fn push(&mut self, v: Value) -> Result<()> {
+        match self {
+            PartialFold::Avg { sum, count } => {
+                *sum += v.as_f64().unwrap_or(0.0);
+                *count += 1;
+            }
+            PartialFold::Merge(m, acc) => {
+                *acc = m.merge(std::mem::replace(acc, Value::Null), m.unit(v))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The accumulator in the monoid's `Value` carrier.
+    fn into_value(self) -> Value {
+        match self {
+            PartialFold::Avg { sum, count } => Monoid::avg_accumulator(sum, count),
+            PartialFold::Merge(_, acc) => acc,
         }
     }
 }
@@ -4002,9 +4240,7 @@ mod tests {
             // would, then run the pipeline on the same stats.
             let left = leftmost_source(&pipeline.root);
             let rows = 0..pipeline.sources[left].nrows;
-            pipeline
-                .source_tuples_range(left, rows, &mut stats)
-                .unwrap();
+            pipeline.build_chunk(left, rows, None, &mut stats).unwrap();
             pipeline.execute(&mut stats).unwrap();
             assert_eq!(stats.operator_materializations, 1, "{q}: {stats:?}");
         }

@@ -502,3 +502,204 @@ fn parallel_warm_cache_run_is_identical() {
     assert!(results.windows(2).all(|w| w[0] == w[1]), "{results:?}");
     assert_eq!(results[0], run_volcano(&plan, &cat).unwrap());
 }
+
+// --- Flat build sides and reused probe buffers -----------------------------
+//
+// Join build sides are flat arenas with key→range hash tables; probes emit
+// pairs into one reused scratch tuple and merge candidate lists into one
+// reused buffer. These fixtures steer every candidate path — key runs
+// merged with loose (null-key) build tuples, whole-side scans for null-key
+// probes, band ranges merged with unindexed (null or NaN) keys — and pin
+// pair and element order with `list` heads, bit for bit against Volcano.
+
+/// `L(id, k, x, s)` CSV and `R(id, k, y, xs)` NDJSON, `n` rows each, with
+/// null join keys on both sides and duplicate keys; `F(id, y)` in memory
+/// with NaN and null band keys.
+fn build_side_catalog(n: usize) -> MemoryCatalog {
+    let cat = MemoryCatalog::new();
+    let mut csv = String::from("id,k,x,s\n");
+    for i in 0..n {
+        let k = if i % 7 == 3 {
+            String::new()
+        } else {
+            (i % 10).to_string()
+        };
+        let x = if i % 11 == 5 {
+            String::new()
+        } else {
+            format!("{}", (i % 24) as f64 / 4.0)
+        };
+        csv.push_str(&format!("{i},{k},{x},{}\n", ["a", "b", "c"][i % 3]));
+    }
+    let l = CsvFile::from_bytes(
+        "L",
+        csv.into_bytes(),
+        b',',
+        true,
+        Schema::from_pairs([
+            ("id", Type::Int),
+            ("k", Type::Int),
+            ("x", Type::Float),
+            ("s", Type::Str),
+        ]),
+    )
+    .expect("csv fixture parses");
+    cat.register(Arc::new(CsvPlugin::new(l)));
+
+    let mut json = String::new();
+    for i in 0..n {
+        let k = if i % 5 == 1 {
+            "null".to_string()
+        } else {
+            (i % 10).to_string()
+        };
+        let xs: Vec<String> = (0..(i % 4)).map(|j| (i + j).to_string()).collect();
+        json.push_str(&format!(
+            "{{\"id\":{i},\"k\":{k},\"y\":{},\"xs\":[{}]}}\n",
+            (i % 64) as f64 / 64.0,
+            xs.join(",")
+        ));
+    }
+    let r = JsonFile::from_bytes(
+        "R",
+        json.into_bytes(),
+        Schema::from_pairs([
+            ("id", Type::Int),
+            ("k", Type::Int),
+            ("y", Type::Float),
+            (
+                "xs",
+                Type::Collection(vida_types::CollectionKind::List, Box::new(Type::Int)),
+            ),
+        ]),
+    )
+    .expect("json fixture parses");
+    cat.register(Arc::new(JsonPlugin::new(r)));
+
+    let rows: Vec<Value> = (0..n / 2)
+        .map(|i| {
+            let y = match i % 9 {
+                2 => Value::Float(f64::NAN),
+                6 => Value::Null,
+                _ => Value::Float((i % 12) as f64 / 2.0),
+            };
+            Value::record([("id", Value::Int(i as i64)), ("y", y)])
+        })
+        .collect();
+    cat.register_records(
+        "F",
+        Schema::from_pairs([("id", Type::Int), ("y", Type::Float)]),
+        &rows,
+    )
+    .expect("records register");
+    cat
+}
+
+/// Structural equality with floats compared by bit pattern, so NaN equals
+/// the same NaN and `-0.0` differs from `0.0`.
+fn same_bits(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        (Value::Record(xs), Value::Record(ys)) => {
+            xs.len() == ys.len()
+                && xs
+                    .iter()
+                    .zip(ys)
+                    .all(|((n, x), (m, y))| n == m && same_bits(x, y))
+        }
+        (Value::Collection(k, xs), Value::Collection(l, ys)) => {
+            k == l && xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_bits(x, y))
+        }
+        _ => a == b,
+    }
+}
+
+/// Run `q` over `build_side_catalog(120)` at 1/2/8 workers with 16-row
+/// morsels, optionally through a cache (a cold run, then a warm run that
+/// must be cache-served); every result must match Volcano bit for bit.
+fn build_side_sweep(q: &str, cached: bool) -> Value {
+    let cat = build_side_catalog(120);
+    let plan = rewrite(&lower(&parse(q).unwrap_or_else(|e| panic!("{q}: {e}"))).unwrap());
+    let oracle = run_volcano(&plan, &cat).unwrap_or_else(|e| panic!("volcano {q}: {e}"));
+    for threads in [1usize, 2, 8] {
+        let cache = Arc::new(CacheManager::new(8 << 20));
+        let opts = JitOptions {
+            cache: cached.then_some(cache),
+            threads,
+            morsel_rows: 16,
+            clamp_threads: false,
+            ..Default::default()
+        };
+        let runs = if cached { 2 } else { 1 };
+        for run in 0..runs {
+            let (v, stats) = vida_exec::run_jit_with_stats(&plan, &cat, &opts)
+                .unwrap_or_else(|e| panic!("jit x{threads} {q}: {e}"));
+            assert_eq!(stats.whole_query_fallbacks, 0, "{q}: {stats:?}");
+            if run == 1 {
+                assert!(stats.served_from_cache, "{q}: warm run missed the cache");
+            }
+            assert!(
+                same_bits(&v, &oracle),
+                "threads={threads} run {run} deviates for {q}:\n{v:?}\nvs\n{oracle:?}"
+            );
+        }
+    }
+    oracle
+}
+
+#[test]
+fn hash_join_with_null_keys_on_both_sides_matches_volcano() {
+    // Valid probes merge their key run with the loose null-key build
+    // tuples; null-key probes scan the whole build side.
+    let v = build_side_sweep(
+        "for { l <- L, r <- R, l.k = r.k } yield list (a := l.id, b := r.id)",
+        false,
+    );
+    assert!(v.elements().unwrap().len() > 120, "{v:?}");
+    build_side_sweep("for { l <- L, r <- R, l.k = r.k } yield sum r.y", false);
+    build_side_sweep(
+        "for { l <- L, r <- R, l.k = r.k, r.y > 0.5 } yield count l",
+        true,
+    );
+}
+
+#[test]
+fn band_join_with_nan_and_null_build_keys_matches_volcano() {
+    // NaN and null `f.y` stay out of the sorted run and are merged back
+    // into every probe's candidates in index order; null `l.x` probes
+    // scan the whole side.
+    build_side_sweep(
+        "for { l <- L, f <- F, l.x < f.y } yield list (a := l.id, b := f.id)",
+        false,
+    );
+    build_side_sweep(
+        "for { l <- L, f <- F, l.x >= f.y } yield list (a := l.id, b := f.id)",
+        false,
+    );
+    build_side_sweep("for { l <- L, f <- F, l.x > f.y } yield count f", true);
+}
+
+#[test]
+fn list_over_join_then_unnest_pins_pair_and_element_order() {
+    // The unnest reads `r.xs` through the pair tuple's provenance row, so
+    // a stale scratch row would emit the wrong elements.
+    let v = build_side_sweep(
+        "for { l <- L, r <- R, l.k = r.k, v <- r.xs } yield list (a := l.id, b := r.id, v := v)",
+        false,
+    );
+    assert!(!v.elements().unwrap().is_empty());
+    build_side_sweep(
+        "for { l <- L, r <- R, l.k = r.k, l.id < 40, v <- r.xs, v > l.id } yield list v",
+        true,
+    );
+}
+
+#[test]
+fn str_filter_on_warm_cache_uses_interned_slots() {
+    let v = build_side_sweep("for { l <- L, l.s = \"b\" } yield list l.id", true);
+    assert_eq!(v.elements().unwrap().len(), 40);
+    build_side_sweep(
+        "for { l <- L, r <- R, l.k = r.k, l.s != \"a\" } yield list (s := l.s, b := r.id)",
+        true,
+    );
+}

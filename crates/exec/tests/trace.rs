@@ -134,7 +134,7 @@ fn stage_counts_agree_with_exec_stats() {
             .find(|t| t.stage == stage::BUILD_SIDE)
             .unwrap();
         assert!(build.tuples > 0, "build side saw no tuples");
-        for s in [stage::LOWER, stage::CODEGEN, stage::FOLD] {
+        for s in [stage::LOWER, stage::CODEGEN, stage::BIND, stage::FOLD] {
             assert!(totals.iter().any(|t| t.stage == s), "missing stage {s}");
         }
     }
@@ -159,7 +159,7 @@ fn explain_analyze_renders_the_stage_tree() {
     let (_, stats) = traced(JOIN_COUNT, 2);
     let text = stats.query_trace().unwrap().explain_analyze();
     assert!(text.starts_with("EXPLAIN ANALYZE"));
-    for s in ["lower", "codegen", "build_side", "probe", "fold"] {
+    for s in ["lower", "codegen", "bind", "build_side", "probe", "fold"] {
         assert!(text.contains(s), "missing {s} in:\n{text}");
     }
     assert!(text.contains("kernels:"));

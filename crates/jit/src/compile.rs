@@ -10,10 +10,12 @@
 //!
 //! The compilable subset is pure and total (no division, no collection
 //! operations). Expressions outside it return `None` from
-//! [`JitCompiler::try_prepare`] and stay interpreted. Kernel semantics match
-//! native code, not the interpreter: integer arithmetic wraps rather than
-//! erroring on overflow, and floats use IEEE comparison (ordered, so
-//! `NaN != NaN`).
+//! [`JitCompiler::try_prepare`] and stay interpreted. Integer arithmetic
+//! wraps rather than erroring on overflow, as native code does. Float
+//! comparisons follow the interpreter's IEEE 754 total order (`NaN = NaN`,
+//! `NaN` above every number, `-0.0 < 0.0`), so a compiled predicate admits
+//! exactly the tuples the interpreter admits, NaN and signed zeros
+//! included.
 
 use crate::frame::{FrameLayout, SlotType, StringInterner};
 use std::sync::Arc;
@@ -266,6 +268,14 @@ fn fval(b: i64) -> f64 {
     f64::from_bits(b as u64)
 }
 
+/// The signed integer whose order is the IEEE 754 total order of the
+/// float with bits `b` (`f64::total_cmp`'s key): flip the magnitude bits
+/// of negative floats.
+#[inline]
+pub fn total_key(b: i64) -> i64 {
+    b ^ (((b >> 63) as u64) >> 1) as i64
+}
+
 /// Widen a kernel to produce float bits regardless of its numeric type.
 fn as_float(k: Kern, ty: SlotType) -> Kern {
     match ty {
@@ -382,15 +392,17 @@ fn emit_binop(
         }
         BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
             let k: Kern = if numeric(lt) && numeric(rt) && !both_int {
+                // Total order: equal iff the bits are equal, ordered by
+                // the total-order integer image of the bits.
                 let a = as_float(lk, lt);
                 let b = as_float(rk, rt);
                 match op {
-                    BinOp::Eq => Box::new(move |f| (fval(a(f)) == fval(b(f))) as i64),
-                    BinOp::Ne => Box::new(move |f| (fval(a(f)) != fval(b(f))) as i64),
-                    BinOp::Lt => Box::new(move |f| (fval(a(f)) < fval(b(f))) as i64),
-                    BinOp::Le => Box::new(move |f| (fval(a(f)) <= fval(b(f))) as i64),
-                    BinOp::Gt => Box::new(move |f| (fval(a(f)) > fval(b(f))) as i64),
-                    _ => Box::new(move |f| (fval(a(f)) >= fval(b(f))) as i64),
+                    BinOp::Eq => Box::new(move |f| (a(f) == b(f)) as i64),
+                    BinOp::Ne => Box::new(move |f| (a(f) != b(f)) as i64),
+                    BinOp::Lt => Box::new(move |f| (total_key(a(f)) < total_key(b(f))) as i64),
+                    BinOp::Le => Box::new(move |f| (total_key(a(f)) <= total_key(b(f))) as i64),
+                    BinOp::Gt => Box::new(move |f| (total_key(a(f)) > total_key(b(f))) as i64),
+                    _ => Box::new(move |f| (total_key(a(f)) >= total_key(b(f))) as i64),
                 }
             } else {
                 // Ints, interned strings (eq/ne only), bools.
@@ -488,6 +500,40 @@ mod tests {
             ),
             Value::Bool(false)
         );
+    }
+
+    #[test]
+    fn float_comparisons_follow_the_interpreters_total_order() {
+        // Every comparison over NaN, signed zeros, infinities, and an int
+        // promoted to float must agree with `vida_lang::eval`.
+        let vals = [
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(1.0),
+            Value::Int(1),
+            Value::Int(-3),
+        ];
+        let ty = |v: &Value| match v {
+            Value::Int(_) => SlotType::Int,
+            _ => SlotType::Float,
+        };
+        for op in ["=", "!=", "<", "<=", ">", ">="] {
+            let src = format!("x {op} y");
+            for a in &vals {
+                for b in &vals {
+                    let mut env = vida_lang::Bindings::new();
+                    env.insert("x".into(), a.clone());
+                    env.insert("y".into(), b.clone());
+                    let expected = vida_lang::eval(&parse(&src).unwrap(), &env).unwrap();
+                    let got = run(&src, &[("x", ty(a)), ("y", ty(b))], &[a.clone(), b.clone()]);
+                    assert_eq!(got, expected, "{a:?} {op} {b:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -189,9 +189,12 @@ impl PredicateStats {
 }
 
 /// One field's distinct sketch plus the latest observed row count.
+#[derive(Default)]
 struct FieldSketch {
     sketch: DistinctSketch,
     rows: u64,
+    /// `(source fingerprint, row count)` of the last column folded in.
+    seen: Option<((u64, u64), u64)>,
 }
 
 /// The registry the exec pipeline feeds (see the module docs). Lives inside
@@ -208,21 +211,43 @@ impl StatsSketch {
         StatsSketch::default()
     }
 
-    /// Fold one materialized column into the field's distinct sketch.
-    /// Idempotent per distinct value, so repeated queries over the same
-    /// data don't drift the estimate.
-    pub fn observe_values(&self, dataset: &str, field: &str, vals: &[Value]) {
+    /// Fold one materialized column, read from a source at `fingerprint`,
+    /// into the field's distinct sketch. Inserts are idempotent per
+    /// distinct value, so repeated queries over the same data don't drift
+    /// the estimate — and a column the field already folded in under the
+    /// same fingerprint and row count is skipped outright. The skip is
+    /// exact: the fingerprint is what proves a cached column unchanged, so
+    /// the column holds the same values, and re-inserting them would leave
+    /// every register as it is. A new fingerprint (an append, a rebuild)
+    /// observes again. Returns whether the column was folded in.
+    pub fn observe_column(
+        &self,
+        dataset: &str,
+        field: &str,
+        fingerprint: (u64, u64),
+        vals: &[Value],
+    ) -> bool {
+        let version = Some((fingerprint, vals.len() as u64));
+        let key = (dataset.to_string(), field.to_string());
+        if self
+            .fields
+            .read()
+            .get(&key)
+            .is_some_and(|fs| fs.seen == version)
+        {
+            return false;
+        }
         let mut fields = self.fields.write();
-        let entry = fields
-            .entry((dataset.to_string(), field.to_string()))
-            .or_insert_with(|| FieldSketch {
-                sketch: DistinctSketch::new(),
-                rows: 0,
-            });
+        let entry = fields.entry(key).or_default();
+        if entry.seen == version {
+            return false; // a concurrent query folded it in first
+        }
         for v in vals {
             entry.sketch.insert(v);
         }
         entry.rows = vals.len() as u64;
+        entry.seen = version;
+        true
     }
 
     /// Estimated distinct count for `(dataset, field)`, clamped to the
@@ -401,12 +426,69 @@ mod tests {
     fn inserts_are_idempotent_across_queries() {
         let vals: Vec<Value> = (0..1_000).map(|i| Value::Int(i % 37)).collect();
         let s = StatsSketch::new();
-        s.observe_values("D", "k", &vals);
+        s.observe_column("D", "k", (1_000, 0), &vals);
         let first = s.distinct("D", "k").unwrap();
-        for _ in 0..5 {
-            s.observe_values("D", "k", &vals);
+        // Fresh fingerprints, so every pass really inserts again.
+        for generation in 1..=5 {
+            assert!(s.observe_column("D", "k", (1_000, generation), &vals));
         }
         assert_eq!(s.distinct("D", "k").unwrap(), first);
+        assert_eq!(s.rows("D", "k"), Some(1_000));
+    }
+
+    /// The raw registers of one field's sketch.
+    fn registers(s: &StatsSketch, dataset: &str, field: &str) -> [u8; REGISTERS] {
+        s.fields.read()[&(dataset.to_string(), field.to_string())]
+            .sketch
+            .registers
+    }
+
+    fn ints(range: std::ops::Range<i64>) -> Vec<Value> {
+        range.map(Value::Int).collect()
+    }
+
+    #[test]
+    fn unchanged_fingerprint_skips_observation_bit_identically() {
+        let s = StatsSketch::new();
+        let col: Vec<Value> = (0..1_000).map(|i| Value::Int(i % 37)).collect();
+        assert!(s.observe_column("D", "k", (4_000, 7), &col));
+        let before = registers(&s, "D", "k");
+        let distinct = s.distinct("D", "k");
+        // Same fingerprint and row count: skipped. The column passed here
+        // is a different one, so folding it in would have raised
+        // registers — equal registers prove nothing was inserted.
+        assert!(!s.observe_column("D", "k", (4_000, 7), &ints(500_000..501_000)));
+        assert_eq!(registers(&s, "D", "k"), before);
+        assert_eq!(s.distinct("D", "k"), distinct);
+        assert_eq!(s.rows("D", "k"), Some(1_000));
+        // Another field of the same dataset is its own entry.
+        assert!(s.observe_column("D", "j", (4_000, 7), &col));
+    }
+
+    #[test]
+    fn new_fingerprint_or_row_count_observes_again() {
+        let s = StatsSketch::new();
+        assert!(s.observe_column("D", "k", (4_000, 7), &ints(0..1_000)));
+        let first = registers(&s, "D", "k");
+        // An append: new fingerprint, more rows.
+        assert!(s.observe_column("D", "k", (4_400, 9), &ints(0..1_100)));
+        assert_eq!(s.rows("D", "k"), Some(1_100));
+        // A rebuild: new fingerprint, same row count, new values.
+        assert!(s.observe_column("D", "k", (4_400, 11), &ints(50_000..51_100)));
+        assert_ne!(registers(&s, "D", "k"), first);
+        // Same fingerprint but a different row count is a different column.
+        assert!(s.observe_column("D", "k", (4_400, 11), &ints(0..10)));
+    }
+
+    #[test]
+    fn clear_forgets_observed_columns() {
+        let s = StatsSketch::new();
+        let col = ints(0..1_000);
+        assert!(s.observe_column("D", "k", (4_000, 7), &col));
+        s.clear();
+        assert_eq!(s.fields_sketched(), 0);
+        assert_eq!(s.distinct("D", "k"), None);
+        assert!(s.observe_column("D", "k", (4_000, 7), &col));
         assert_eq!(s.rows("D", "k"), Some(1_000));
     }
 
@@ -481,7 +563,7 @@ mod tests {
     #[test]
     fn distinct_is_clamped_to_rows_and_floored_at_one() {
         let s = StatsSketch::new();
-        s.observe_values("D", "k", &[Value::Int(1), Value::Int(2)]);
+        s.observe_column("D", "k", (2, 0), &[Value::Int(1), Value::Int(2)]);
         let d = s.distinct("D", "k").unwrap();
         assert!((1.0..=2.0).contains(&d), "{d}");
         assert_eq!(s.distinct("D", "missing"), None);

@@ -25,6 +25,9 @@ pub mod stage {
     pub const CODEGEN: &str = "codegen";
     /// Cache lookups and replica decode for the query's touched columns.
     pub const CACHE_PROBE: &str = "cache_probe";
+    /// Source assembly after the columns are materialized: slot binding,
+    /// `Str` column interning, and free-dataset materialization.
+    pub const BIND: &str = "bind";
     /// Hash/band build over a join's right side.
     pub const BUILD_SIDE: &str = "build_side";
     /// Raw-data scans: tokenize + parse of CSV/JSON columns.

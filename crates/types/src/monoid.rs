@@ -165,13 +165,19 @@ impl Monoid {
             Monoid::Primitive(PrimitiveMonoid::Count) => Value::Int(0),
             Monoid::Primitive(PrimitiveMonoid::Max) => Value::Null,
             Monoid::Primitive(PrimitiveMonoid::Min) => Value::Null,
-            Monoid::Primitive(PrimitiveMonoid::Avg) => {
-                Value::record([("__sum", Value::Float(0.0)), ("__count", Value::Int(0))])
-            }
+            Monoid::Primitive(PrimitiveMonoid::Avg) => Monoid::avg_accumulator(0.0, 0),
             Monoid::Primitive(PrimitiveMonoid::All) => Value::Bool(true),
             Monoid::Primitive(PrimitiveMonoid::Any) => Value::Bool(false),
             Monoid::Collection(k) => Value::Collection(*k, Vec::new()),
         }
+    }
+
+    /// The `avg` accumulator carrier for a running `(sum, count)`: the
+    /// record [`Monoid::zero`], [`Monoid::unit`] and [`Monoid::merge`]
+    /// produce and [`Monoid::finalize`] divides out. Executors that fold
+    /// `avg` with a typed pair wrap it through here.
+    pub fn avg_accumulator(sum: f64, count: i64) -> Value {
+        Value::record([("__sum", Value::Float(sum)), ("__count", Value::Int(count))])
     }
 
     /// The unit function `U⊕(x)` lifting one element into the monoid carrier.
@@ -179,8 +185,7 @@ impl Monoid {
         match self {
             Monoid::Primitive(PrimitiveMonoid::Count) => Value::Int(1),
             Monoid::Primitive(PrimitiveMonoid::Avg) => {
-                let x = v.as_f64().unwrap_or(0.0);
-                Value::record([("__sum", Value::Float(x)), ("__count", Value::Int(1))])
+                Monoid::avg_accumulator(v.as_f64().unwrap_or(0.0), 1)
             }
             Monoid::Primitive(_) => v,
             Monoid::Collection(CollectionKind::Set) => Value::set(vec![v]),
@@ -224,10 +229,7 @@ impl Monoid {
             Monoid::Primitive(Avg) => {
                 let (s1, c1) = avg_parts(&a)?;
                 let (s2, c2) = avg_parts(&b)?;
-                Ok(Value::record([
-                    ("__sum", Value::Float(s1 + s2)),
-                    ("__count", Value::Int(c1 + c2)),
-                ]))
+                Ok(Monoid::avg_accumulator(s1 + s2, c1 + c2))
             }
             Monoid::Primitive(All) => bool_binop(a, b, "all", |x, y| x && y),
             Monoid::Primitive(Any) => bool_binop(a, b, "any", |x, y| x || y),
